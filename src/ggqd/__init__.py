@@ -22,8 +22,6 @@ from .errors import (
 )
 from .objective import (
     MeasurementDirections,
-    ObjectiveCoefficients,
-    objective_coefficients,
     objective_f,
     rank2_lambda_max,
     reduced_over_a,
@@ -73,7 +71,6 @@ __all__ = [
     "NotCanonicalFormError",
     "NotPositiveError",
     "NotUnitaryError",
-    "ObjectiveCoefficients",
     "PAULIS",
     "ParameterOutOfRangeError",
     "ProbabilitiesNotNormalizedError",
@@ -89,7 +86,6 @@ __all__ = [
     "load_state",
     "local_unitary_conjugate",
     "maximize_objective",
-    "objective_coefficients",
     "objective_f",
     "pauli_decompose",
     "rank2_lambda_max",

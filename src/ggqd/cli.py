@@ -1,7 +1,8 @@
 """Command line front end: ``ggqd compute|sweep|validate|oracle|gen``.
 
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 unwritable
-output path, 5 oracle gap above 1e-3. All numeric output uses 12
+output path, 5 oracle gap above 1e-3 (``oracle``, and ``sweep --method
+both`` after its CSV is written). All numeric output uses 12
 significant digits and is deterministic for fixed flags and seed.
 """
 
@@ -87,8 +88,6 @@ def _config(args) -> SolverConfig:
         kwargs["b_grid_step"] = args.b_grid_step
     if args.oracle_step is not None:
         kwargs["oracle_angle_step"] = args.oracle_step
-    if args.refine_tol is not None:
-        kwargs["refine_tolerance"] = args.refine_tol
     return SolverConfig(**kwargs)
 
 
@@ -144,12 +143,19 @@ def _cmd_sweep(args) -> int:
     )
     cfg = _config(args)
     lines = [CSV_HEADER]
+    first_gap = None
     for value in spec.values():
-        state = generate_state(
-            StateFamilySpec(spec.family, {spec.param_name: value}),
-            allow_nonphysical=args.allow_nonphysical,
-        )
-        res = ggqd(state, cfg, method=spec.method)
+        try:
+            state = generate_state(
+                StateFamilySpec(spec.family, {spec.param_name: value}),
+                allow_nonphysical=args.allow_nonphysical,
+            )
+            res = ggqd(state, cfg, method=spec.method)
+        except GgqdError as exc:
+            print(f"error: {spec.param_name} = {_fmt(value)}: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        if first_gap is None and res.oracle_gap is not None and res.oracle_gap > ORACLE_GAP_LIMIT:
+            first_gap = (value, res.oracle_gap)
         a, b = res.a_star, res.b_star
         lines.append(
             ",".join(
@@ -174,6 +180,13 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {spec.output_path}: {exc}", file=sys.stderr)
         return EXIT_WRITE
+    if first_gap is not None:
+        value, gap = first_gap
+        print(
+            f"error: oracle gap {_fmt(gap)} above {ORACLE_GAP_LIMIT:g} at {spec.param_name} = {_fmt(value)}",
+            file=sys.stderr,
+        )
+        return EXIT_GAP
     return EXIT_OK
 
 
@@ -269,11 +282,11 @@ def _cmd_gen(args) -> int:
 
 def _add_config_flags(sp) -> None:
     sp.add_argument("--b-grid-step", type=float, default=None, metavar="RAD",
-                    help="fast-path b-grid step in radians (default 0.035)")
+                    help="fast-path b-grid step in radians, also the first compass-search "
+                         "step of its polish (default 0.035)")
     sp.add_argument("--oracle-step", type=float, default=None, metavar="RAD",
-                    help="oracle 4-angle grid step in radians (default 0.087)")
-    sp.add_argument("--refine-tol", type=float, default=None, metavar="TOL",
-                    help="simplex refinement tolerance on the objective (default 1e-10)")
+                    help="oracle 4-angle grid step in radians, also the first compass-search "
+                         "step of its polish (default 0.087)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--step", type=float, required=True)
     sweep.add_argument("-o", "--output", required=True, help="output CSV path")
-    sweep.add_argument("--method", choices=["fast", "oracle", "xstate", "both"], default="fast")
+    sweep.add_argument("--method", choices=["fast", "oracle", "xstate", "both"], default="fast",
+                       help="'both' also runs the oracle and exits 5 if any point's gap is above 1e-3")
     sweep.add_argument("--allow-nonphysical", action="store_true")
     _add_config_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep)

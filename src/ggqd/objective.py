@@ -26,10 +26,15 @@ UNIT_TOL = 1e-12
 CANONICAL_TOL = 1e-10
 
 
-def sphere_direction(azimuth: float, polar: float) -> np.ndarray:
-    """Unit vector (cos az sin pol, sin az sin pol, cos pol)."""
-    sp = math.sin(polar)
-    return np.array([math.cos(azimuth) * sp, math.sin(azimuth) * sp, math.cos(polar)])
+def sphere_direction(azimuth, polar) -> np.ndarray:
+    """Unit vector (cos az sin pol, sin az sin pol, cos pol).
+
+    The angles may be arrays; they broadcast, and the vectors run along a
+    new last axis.
+    """
+    az, pol = np.broadcast_arrays(np.asarray(azimuth, dtype=float), np.asarray(polar, dtype=float))
+    sp = np.sin(pol)
+    return np.stack([np.cos(az) * sp, np.sin(az) * sp, np.cos(pol)], axis=-1)
 
 
 def _unit(v, name: str) -> np.ndarray:
@@ -61,6 +66,14 @@ class MeasurementDirections:
         return cls(a=sphere_direction(theta3, theta4), b=sphere_direction(theta1, theta2))
 
 
+def objective_rows(corr: CorrelationData, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """f(a, b) for each pair of rows of ``a`` and ``b`` (unchecked directions)."""
+    yb = b @ corr.y
+    xa = a @ corr.x
+    atb = np.einsum("...i,...i->...", a, b @ corr.T.T)
+    return 1.0 + yb * yb + xa * xa + atb * atb
+
+
 def objective_f(corr: CorrelationData, dirs) -> float:
     """Evaluate f(a, b); ``dirs`` is a MeasurementDirections or an (a, b) pair."""
     if isinstance(dirs, MeasurementDirections):
@@ -69,10 +82,7 @@ def objective_f(corr: CorrelationData, dirs) -> float:
         a, b = dirs
         a = _unit(a, "a")
         b = _unit(b, "b")
-    yb = corr.y @ b
-    xa = corr.x @ a
-    atb = a @ (corr.T @ b)
-    return 1.0 + yb * yb + xa * xa + atb * atb
+    return float(objective_rows(corr, a, b))
 
 
 def canonical_deviation(corr: CorrelationData) -> float:
@@ -92,64 +102,6 @@ def require_canonical(corr: CorrelationData, tol: float = CANONICAL_TOL) -> None
     dev = canonical_deviation(corr)
     if dev > tol:
         raise NotCanonicalFormError(f"canonical zero pattern violated by {dev:.3e} (tolerance {tol:.0e})")
-
-
-@dataclass(frozen=True)
-class ObjectiveCoefficients:
-    """Coefficients of f at fixed a over the unit sphere of b.
-
-    f(b) = m0 + m13 b1 b3 + m12 b1 b2 + m23 b2 b3 + m22 b2^2 + m33 b3^2,
-    with the b1^2 contribution absorbed into m0 via b1^2 = 1 - b2^2 - b3^2.
-    The b3^2 coefficient cannot be absorbed as well, so it is carried
-    explicitly; without it no constant-plus-four-cross-terms form can
-    reproduce f for general canonical correlation data.
-    """
-
-    m0: float
-    m12: float
-    m13: float
-    m22: float
-    m23: float
-    m33: float
-
-    def evaluate(self, b) -> float:
-        b = np.asarray(b, dtype=float)
-        return float(
-            self.m0
-            + self.m13 * b[0] * b[2]
-            + self.m12 * b[0] * b[1]
-            + self.m23 * b[1] * b[2]
-            + self.m22 * b[1] * b[1]
-            + self.m33 * b[2] * b[2]
-        )
-
-
-def objective_coefficients(corr: CorrelationData, a) -> ObjectiveCoefficients:
-    """Expand f(a, .) over unit b for canonical correlation data.
-
-    Requires the canonical zero pattern; raises NotCanonicalFormError
-    otherwise. The expansion is exact: for every unit b,
-    ``coeffs.evaluate(b) == objective_f(corr, (a, b))`` up to rounding.
-    """
-    require_canonical(corr)
-    a = _unit(a, "a")
-    t = corr.T
-    y1, y3 = corr.y[0], corr.y[2]
-    w1 = a[0] * t[0, 0] + a[2] * t[2, 0]  # coefficient of b1 in a.Tb
-    w3 = a[0] * t[0, 2] + a[2] * t[2, 2]  # coefficient of b3 in a.Tb
-    w2 = a[1] * t[1, 1]                   # coefficient of b2 in a.Tb
-    xa = corr.x @ a
-    p1 = y1 * y1 + w1 * w1
-    p2 = w2 * w2
-    p3 = y3 * y3 + w3 * w3
-    return ObjectiveCoefficients(
-        m0=1.0 + xa * xa + p1,
-        m12=2.0 * w2 * w1,
-        m13=2.0 * (y1 * y3 + w1 * w3),
-        m22=p2 - p1,
-        m23=2.0 * w2 * w3,
-        m33=p3 - p1,
-    )
 
 
 def rank2_lambda_max(u, v) -> tuple[float, np.ndarray]:

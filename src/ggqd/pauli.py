@@ -40,6 +40,8 @@ class CorrelationData:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != want:
                 raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -47,11 +49,15 @@ class CorrelationData:
 def pauli_decompose(rho) -> CorrelationData:
     """Extract (x, y, T) from a density matrix.
 
-    Accepts a DensityMatrix or a bare 4x4 array. The Hermitian part of the
-    input is used, so the expectation values are real to machine precision
-    and imaginary parts are discarded.
+    Accepts a DensityMatrix or a bare 4x4 array. A bare array goes through
+    ``validate_density(m, allow_nonphysical=True)``, so it must be finite,
+    Hermitian and of unit trace. The Hermitian part of the input is used, so
+    the expectation values are real to machine precision and imaginary
+    parts are discarded.
     """
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if not isinstance(rho, DensityMatrix):
+        rho = validate_density(rho, allow_nonphysical=True)
+    m = rho.entries
     h = 0.5 * (m + m.conj().T)
     x = np.array([np.trace(h @ _BASIS[i][0]).real for i in (1, 2, 3)])
     y = np.array([np.trace(h @ _BASIS[0][j]).real for j in (1, 2, 3)])

@@ -99,7 +99,7 @@ def test_compute_methods(tmp_path, capsys):
 
 def test_compute_config_flags(tmp_path, capsys):
     path = write_mixed(tmp_path)
-    code, _ = run_cli(["compute", path, "--b-grid-step", "0.1", "--refine-tol", "1e-9"], capsys)
+    code, _ = run_cli(["compute", path, "--b-grid-step", "0.1"], capsys)
     assert code == 0
     code, _ = run_cli(["compute", path, "--b-grid-step", "9.0"], capsys)
     assert code == 2  # outside (0, pi/2]
@@ -188,6 +188,40 @@ def test_sweep_bad_spec(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(["sweep", "werner", "p", "--from", "1", "--to", "0", "--step", "0.1", "-o", out_csv], capsys)
     assert code == 2
+
+
+def test_sweep_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
+    # no one-parameter family reaches the 1e-3 gap, so force one from c3 = 0.5 on
+    import ggqd.solver as solver_mod
+
+    real_oracle = solver_mod.brute_force_oracle
+
+    def skewed(corr, cfg=None):
+        return real_oracle(corr, cfg) + (0.5 if corr.T[2, 2] >= 0.4 else 0.0)
+
+    monkeypatch.setattr(solver_mod, "brute_force_oracle", skewed)
+    out_csv = tmp_path / "both.csv"
+    code = main(["sweep", "bell-mixture", "c3", "--from", "0", "--to", "1", "--step", "0.5",
+                 "--method", "both", "--allow-nonphysical", "--oracle-step", "0.3", "-o", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert "c3 = 0.5" in err and "c3 = 1" not in err
+    assert len(out_csv.read_text().strip().splitlines()) == 4  # the CSV is still written
+
+    monkeypatch.setattr(solver_mod, "brute_force_oracle", real_oracle)
+    code = main(["sweep", "bell-mixture", "c3", "--from", "0", "--to", "1", "--step", "0.5",
+                 "--method", "both", "--allow-nonphysical", "--oracle-step", "0.3", "-o", str(out_csv)])
+    assert code == 0
+
+
+def test_sweep_names_invalid_point(tmp_path, capsys):
+    out_csv = tmp_path / "bad.csv"
+    code = main(["sweep", "bell-mixture", "c3", "--from", "-1", "--to", "1", "--step", "0.5",
+                 "-o", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "c3 = -1:" in err and "smallest eigenvalue" in err
+    assert not out_csv.exists()
 
 
 def test_sweep_unwritable_output(capsys):

@@ -6,10 +6,8 @@ from ggqd import (
     CorrelationData,
     MeasurementDirections,
     NonUnitDirectionError,
-    NotCanonicalFormError,
     StateFamilySpec,
     generate_state,
-    objective_coefficients,
     objective_f,
     pauli_decompose,
     rank2_lambda_max,
@@ -27,15 +25,6 @@ def bell_corr(c3):
 
 def mixed_corr():
     return CorrelationData(x=np.zeros(3), y=np.zeros(3), T=np.zeros((3, 3)))
-
-
-def random_canonical(rng, scale=0.8):
-    x = np.array([rng.uniform(-scale, scale), 0.0, rng.uniform(-scale, scale)])
-    y = np.array([rng.uniform(-scale, scale), 0.0, rng.uniform(-scale, scale)])
-    t = np.zeros((3, 3))
-    for i, j in ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)):
-        t[i, j] = rng.uniform(-scale, scale)
-    return CorrelationData(x=x, y=y, T=t)
 
 
 def sphere_grid(n_az, n_pol):
@@ -87,41 +76,6 @@ def test_measurement_directions_from_angles():
     assert np.allclose(dirs.a, sphere_direction(2.0, 0.6), atol=1e-15)
     corr = bell_corr(0.4)
     assert objective_f(corr, dirs) == objective_f(corr, (dirs.a, dirs.b))
-
-
-def test_coefficients_bell_at_e3():
-    c3 = 0.7
-    coeffs = objective_coefficients(bell_corr(c3), E3)
-    assert coeffs.m12 == coeffs.m13 == coeffs.m23 == coeffs.m22 == 0.0
-    assert abs(coeffs.m0 - 1.0) <= 1e-15
-    assert abs(coeffs.m33 - c3 * c3) <= 1e-15
-    for b in sphere_grid(8, 7):
-        assert abs(coeffs.evaluate(b) - (1 + c3 * c3 * b[2] ** 2)) <= 1e-14
-
-
-def test_coefficients_constant_without_correlations():
-    coeffs = objective_coefficients(mixed_corr(), np.array([1.0, 0.0, 0.0]))
-    for b in sphere_grid(6, 5):
-        assert coeffs.evaluate(b) == 1.0
-
-
-def test_coefficients_match_objective_on_grid():
-    rng = np.random.default_rng(31)
-    grid = sphere_grid(20, 20)
-    for _ in range(25):
-        corr = random_canonical(rng)
-        a = random_unit(rng)
-        coeffs = objective_coefficients(corr, a)
-        for b in grid:
-            assert abs(coeffs.evaluate(b) - objective_f(corr, (a, b))) <= 1e-10
-
-
-def test_coefficients_reject_non_canonical():
-    t = np.zeros((3, 3))
-    t[0, 1] = 0.5
-    corr = CorrelationData(x=np.zeros(3), y=np.zeros(3), T=t)
-    with pytest.raises(NotCanonicalFormError, match="canonical"):
-        objective_coefficients(corr, E3)
 
 
 def test_rank2_rank1_case():

@@ -5,6 +5,7 @@ from conftest import haar_unitary, random_state, rotation_from_unitary
 from ggqd import (
     CorrelationData,
     StateFamilySpec,
+    TraceNotOneError,
     correlation_matrix,
     generate_state,
     local_unitary_conjugate,
@@ -148,3 +149,22 @@ def test_swap_covariance():
 def test_correlation_data_shape_check():
     with pytest.raises(ValueError, match="shape"):
         CorrelationData(x=np.zeros(2), y=np.zeros(3), T=np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("field", ["x", "y", "T"])
+def test_correlation_data_rejects_nonfinite(field):
+    data = {"x": np.zeros(3), "y": np.zeros(3), "T": np.eye(3)}
+    data[field] = data[field].copy()
+    data[field].flat[0] = np.nan
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CorrelationData(**data)
+    data[field].flat[0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        CorrelationData(**data)
+
+
+def test_decompose_bare_array_waives_only_positivity():
+    with pytest.raises(TraceNotOneError):
+        pauli_decompose(np.ones((4, 4)))
+    bare = pauli_decompose(bell_mixture(0.5).entries)  # not positive semidefinite
+    assert np.array_equal(bare.T, pauli_decompose(bell_mixture(0.5)).T)

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import haar_unitary, random_state
 
+import ggqd as ggqd_pkg
 from ggqd import (
     CorrelationData,
     NotCanonicalFormError,
     SolverConfig,
     StateFamilySpec,
+    TraceNotOneError,
     brute_force_oracle,
     generate_state,
     ggqd,
@@ -20,6 +26,7 @@ from ggqd import (
     validate_density,
     xstate_candidates,
 )
+from ggqd.solver import _refine
 
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -47,7 +54,6 @@ def contains_direction(pairs, a, b, tol=1e-9):
 def test_config_defaults():
     cfg = SolverConfig()
     assert cfg.b_grid_step == 0.035
-    assert cfg.refine_tolerance == 1e-10
     assert cfg.oracle_angle_step == 0.087
     assert cfg.refine_max_iterations == 200
 
@@ -58,8 +64,8 @@ def test_config_defaults():
         {"b_grid_step": 0.0},
         {"b_grid_step": 2.0},
         {"oracle_angle_step": -0.1},
-        {"refine_tolerance": 0.0},
-        {"refine_tolerance": 1e-3},
+        {"oracle_angle_step": 0.0},
+        {"oracle_angle_step": 2.0},
         {"refine_max_iterations": 5},
     ],
 )
@@ -278,8 +284,66 @@ def test_bell_sweep_unified_formula():
 
 
 def test_custom_config_round_trip():
-    cfg = SolverConfig(b_grid_step=0.08, oracle_angle_step=0.15, refine_tolerance=1e-9)
+    cfg = SolverConfig(b_grid_step=0.08, oracle_angle_step=0.15)
     corr = bell_corr(0.5)
     f, _, _ = maximize_objective(corr, cfg)
     assert abs(f - 2.0) <= 1e-6
     assert abs(brute_force_oracle(corr, cfg) - 2.0) <= 5e-3
+
+
+def test_ggqd_rejects_bare_array_with_wrong_trace():
+    with pytest.raises(TraceNotOneError):
+        ggqd(np.ones((4, 4)))
+
+
+def test_refine_never_worse_than_start():
+    cfg = SolverConfig()
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        w = rng.standard_normal(4)
+
+        def bumpy(points):
+            return np.sin(points @ w) + np.cos(3.0 * points[:, 0] * points[:, -1])
+
+        start = rng.uniform(-2.0, 2.0, 4)
+        end = _refine(bumpy, start, 0.3, cfg)
+        assert bumpy(end[None])[0] >= bumpy(start[None])[0]
+
+
+def test_refine_stops_on_constant_function():
+    calls = []
+
+    def flat(points):
+        calls.append(len(points))
+        return np.zeros(len(points))
+
+    start = np.array([0.4, -1.3])
+    assert np.array_equal(_refine(flat, start, 1e-7, SolverConfig()), start)
+    assert calls == [9]  # one 3^2 stencil: the centre wins at the final step
+    calls.clear()
+    assert np.array_equal(_refine(flat, start, 0.1, SolverConfig()), start)
+    assert len(calls) == 21  # only halvings: 0.1 / 2^20 <= 1e-7 < 0.1 / 2^19
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_refine_reaches_quadratic_maximum(dim):
+    peak = np.array([0.3, -1.2, 2.05, 0.7])[:dim]
+
+    def quadratic(points):
+        return 5.0 - np.sum((points - peak) ** 2, axis=1)
+
+    end = _refine(quadratic, np.zeros(dim), 0.5, SolverConfig())
+    assert abs(quadratic(end[None])[0] - 5.0) <= 1e-12
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(ggqd_pkg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ggqd, ggqd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
