@@ -1,9 +1,9 @@
 """Command line front end: ``ggqd compute|sweep|validate|oracle|gen``.
 
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 unwritable
-output path, 5 oracle gap above 1e-3 (``oracle``, and ``sweep --method
-both`` after its CSV is written). All numeric output uses 12
-significant digits and is deterministic for fixed flags and seed.
+output path, 5 oracle gap above 1e-3 (``oracle``, and ``compute|sweep
+--method both`` after the report or CSV is written). All numeric output
+uses 12 significant digits and is deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -128,6 +128,8 @@ def _cmd_compute(args) -> int:
         if res.oracle_gap is not None:
             pairs.append(("oracle_gap", _fmt(res.oracle_gap)))
         _print_kv(pairs)
+    if res.oracle_gap is not None and res.oracle_gap > ORACLE_GAP_LIMIT:
+        return EXIT_GAP
     return EXIT_OK
 
 
@@ -298,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser("compute", help="compute GGQD of a state file")
     compute.add_argument("input", help="state file (JSON)")
-    compute.add_argument("--method", choices=["fast", "oracle", "xstate", "both"], default="fast")
+    compute.add_argument("--method", choices=["fast", "oracle", "xstate", "both"], default="fast",
+                         help="'both' also runs the oracle and exits 5 if the gap is above 1e-3")
     compute.add_argument("--allow-nonphysical", action="store_true",
                          help="accept states that fail positivity")
     compute.add_argument("--json", action="store_true", help="emit a single JSON object")
@@ -351,7 +354,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (json.JSONDecodeError, StateFormatError) as exc:
+    except StateFormatError as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GgqdError as exc:

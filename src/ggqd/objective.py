@@ -42,7 +42,7 @@ def _unit(v, name: str) -> np.ndarray:
     if arr.shape != (3,):
         raise NonUnitDirectionError(f"{name} must be a 3-vector, got shape {arr.shape}")
     dev = abs(float(arr @ arr) - 1.0)
-    if dev > 2.0 * UNIT_TOL:  # norm^2 tolerance ~ 2x norm tolerance
+    if not dev <= 2.0 * UNIT_TOL:  # norm^2 tolerance ~ 2x norm tolerance; NaN fails too
         raise NonUnitDirectionError(f"{name} has |{name}|^2 - 1 = {dev:.3e}, not a unit vector")
     return arr
 
@@ -112,10 +112,18 @@ def rank2_lambda_max(u, v) -> tuple[float, np.ndarray]:
     The eigenvector is alpha u + beta v with (alpha, beta) the top
     eigenvector of [[u.u, u.v], [u.v, v.v]]. When the top eigenvalue is
     degenerate (|u| = |v|, u.v = 0) the normalized u + v direction is
-    returned, falling back to u and finally to e3 when everything vanishes.
+    returned, falling back to u; the zero form returns e3. u and v are first
+    scaled by a power of two to a largest entry in [0.5, 1), which is exact,
+    so tiny or huge inputs neither underflow nor overflow.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    big = max(np.abs(u).max(), np.abs(v).max())
+    if big == 0.0:
+        return 0.0, np.array([0.0, 0.0, 1.0])
+    e = math.frexp(big)[1]
+    u = np.ldexp(u, -e)
+    v = np.ldexp(v, -e)
     p = float(u @ u)
     r = float(v @ v)
     q = float(u @ v)
@@ -127,17 +135,9 @@ def rank2_lambda_max(u, v) -> tuple[float, np.ndarray]:
         n2 = (lam - r) ** 2 + q * q
         alpha, beta = (q, lam - p) if n1 >= n2 else (lam - r, q)
         w = alpha * u + beta * v
-        return lam, w / np.linalg.norm(w)
-
-    # degenerate or zero form: every span direction achieves lam
-    w = u + v
-    n = np.linalg.norm(w)
-    if n > 0.0:
-        return lam, w / n
-    nu = np.linalg.norm(u)
-    if nu > 0.0:
-        return lam, u / nu
-    return lam, np.array([0.0, 0.0, 1.0])
+    else:  # degenerate form: every span direction achieves lam
+        w = u + v if np.abs(u + v).max() > 0.0 else u
+    return math.ldexp(lam, 2 * e), w / np.linalg.norm(w)
 
 
 def reduced_over_a(corr: CorrelationData, b) -> tuple[float, np.ndarray]:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .qstate import PAULIS, DensityMatrix, validate_density
 
-#: kron(sigma_m, sigma_n) for m, n in 0..3
-_BASIS = tuple(tuple(np.kron(PAULIS[m], PAULIS[n]) for n in range(4)) for m in range(4))
+#: _BASIS[m, n] = kron(sigma_m, sigma_n) for m, n in 0..3
+_BASIS = np.einsum("mij,nkl->mnikjl", PAULIS, PAULIS).reshape(4, 4, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,14 @@ def pauli_decompose(rho) -> CorrelationData:
 
     Accepts a DensityMatrix or a bare 4x4 array. A bare array goes through
     ``validate_density(m, allow_nonphysical=True)``, so it must be finite,
-    Hermitian and of unit trace. The Hermitian part of the input is used, so
-    the expectation values are real to machine precision and imaginary
-    parts are discarded.
+    Hermitian and of unit trace. The coefficients are the real parts of
+    Tr(rho sigma_m x sigma_n), which equal those of the Hermitian part of
+    the input, so imaginary parts of the traces are discarded.
     """
     if not isinstance(rho, DensityMatrix):
         rho = validate_density(rho, allow_nonphysical=True)
-    m = rho.entries
-    h = 0.5 * (m + m.conj().T)
-    x = np.array([np.trace(h @ _BASIS[i][0]).real for i in (1, 2, 3)])
-    y = np.array([np.trace(h @ _BASIS[0][j]).real for j in (1, 2, 3)])
-    t = np.array([[np.trace(h @ _BASIS[i][j]).real for j in (1, 2, 3)] for i in (1, 2, 3)])
-    return CorrelationData(x=x, y=y, T=t)
+    c = np.einsum("ij,mnji->mn", rho.entries, _BASIS).real
+    return CorrelationData(x=c[1:, 0], y=c[0, 1:], T=c[1:, 1:])
 
 
 def reconstruct_density(corr: CorrelationData) -> DensityMatrix:
@@ -72,23 +68,13 @@ def reconstruct_density(corr: CorrelationData) -> DensityMatrix:
     positivity for arbitrary correlation data; it is returned with the
     physicality check waived and validated downstream where needed.
     """
-    m = _BASIS[0][0].astype(complex)
-    for i in range(3):
-        m = m + corr.x[i] * _BASIS[i + 1][0] + corr.y[i] * _BASIS[0][i + 1]
-    for i in range(3):
-        for j in range(3):
-            m = m + corr.T[i, j] * _BASIS[i + 1][j + 1]
-    return validate_density(0.25 * m, allow_nonphysical=True)
+    m = 0.5 * np.einsum("mn,mnij->ij", correlation_matrix(corr), _BASIS)
+    return validate_density(m, allow_nonphysical=True)
 
 
 def correlation_matrix(corr: CorrelationData) -> np.ndarray:
     """The 4x4 coefficient matrix C = [[1, y'], [x, T]] / 2."""
-    c = np.empty((4, 4))
-    c[0, 0] = 1.0
-    c[0, 1:] = corr.y
-    c[1:, 0] = corr.x
-    c[1:, 1:] = corr.T
-    return 0.5 * c
+    return 0.5 * np.block([[np.ones((1, 1)), corr.y[None, :]], [corr.x[:, None], corr.T]])
 
 
 def trace_cc(corr: CorrelationData) -> float:

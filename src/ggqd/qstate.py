@@ -302,18 +302,31 @@ def _matrix_from_obj(obj) -> np.ndarray:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
             ):
                 raise StateFormatError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                z = complex(entry[0], entry[1])
+            except OverflowError:  # an integer too large for a float
+                z = complex(np.inf)
+            if not np.isfinite(z):
+                raise StateFormatError(f"entry ({i},{j}) must be finite, got {entry}")
+            out[i, j] = z
     return out
 
 
 def parse_state_matrix(text: str) -> np.ndarray:
-    """Parse a state-file JSON string into a raw 4x4 complex array (no validation)."""
-    return _matrix_from_obj(json.loads(text))
+    """Parse a state-file JSON string into a raw 4x4 complex array (no validation).
+
+    Every malformed input raises StateFormatError.
+    """
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # invalid JSON, or an integer past Python's digit limit
+        raise StateFormatError(f"invalid JSON: {exc}") from None
+    return _matrix_from_obj(obj)
 
 
 def state_from_json(text: str, allow_nonphysical: bool = False) -> DensityMatrix:
     """Parse and validate a state-file JSON string."""
-    return validate_density(_matrix_from_obj(json.loads(text)), allow_nonphysical=allow_nonphysical)
+    return validate_density(parse_state_matrix(text), allow_nonphysical=allow_nonphysical)
 
 
 def save_state(path, rho: DensityMatrix) -> None:

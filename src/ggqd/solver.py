@@ -32,8 +32,10 @@ from .qstate import DensityMatrix
 
 _METHODS = ("fast", "oracle", "xstate", "both")
 
-#: The compass search stops once the centre wins at an angle step this small.
+#: The compass search stops once the centre wins at an angle step this small,
+#: or after this many iterations (it needs at most ~75 on either path).
 _REFINE_STEP_TOL = 1e-7
+_REFINE_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -43,21 +45,17 @@ class SolverConfig:
     Defaults keep the oracle under ~2 s per state (73 x 37 = 2,701 nodes
     per sphere, so 7,295,401 objective evaluations at the 5 degree grid)
     and the fast path in the millisecond range at the 2 degree b-grid.
-    ``refine_max_iterations`` caps the compass-search iterations of either
-    polish.
+    Each step is also the first compass-search step of its polish.
     """
 
     b_grid_step: float = 0.035
     oracle_angle_step: float = 0.087
-    refine_max_iterations: int = 200
 
     def __post_init__(self):
         for name in ("b_grid_step", "oracle_angle_step"):
             step = getattr(self, name)
             if not 0.0 < step <= math.pi / 2.0:
                 raise ValueError(f"{name} = {step} outside (0, pi/2]")
-        if self.refine_max_iterations < 10:
-            raise ValueError(f"refine_max_iterations = {self.refine_max_iterations} below 10")
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,11 @@ class GgqdResult:
 
 
 def _orient(v: np.ndarray) -> np.ndarray:
-    """Pick the sign representative: third component >= 0, then first, then second."""
-    tol = 1e-12
+    """Pick the sign representative: third component >= 0, then first, then second.
+
+    Components within 10 * _REFINE_STEP_TOL (the polish's accuracy) count as 0.
+    """
+    tol = 10.0 * _REFINE_STEP_TOL
     w = np.array(v, dtype=float)
     flip = w[2] < -tol or (
         abs(w[2]) <= tol and (w[0] < -tol or (abs(w[0]) <= tol and w[1] < 0.0))
@@ -95,20 +96,20 @@ def _direction_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     return sphere_direction(angles[:, 0], angles[:, 1]), angles
 
 
-def _refine(fun, start: np.ndarray, step: float, cfg: SolverConfig) -> np.ndarray:
+def _refine(fun, start: np.ndarray, step: float) -> np.ndarray:
     """Compass search for a local maximum of ``fun`` near ``start``.
 
     ``fun`` maps an (n, d) array of points to n values. Each iteration
     evaluates the full 3^d stencil ``x + step * {-1, 0, 1}^d`` in one call
     and moves to its best point if that beats the centre x; otherwise it
     halves the step. It stops once the centre wins at a step of at most
-    _REFINE_STEP_TOL, or after cfg.refine_max_iterations iterations. It never
+    _REFINE_STEP_TOL, or after _REFINE_MAX_ITERATIONS iterations. It never
     moves to a worse point, so the result is at least as good as ``start``.
     """
     offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=len(start))))
     centre = len(offsets) // 2  # the all-zero offset
     x = np.asarray(start, dtype=float)
-    for _ in range(cfg.refine_max_iterations):
+    for _ in range(_REFINE_MAX_ITERATIONS):
         values = fun(x + step * offsets)
         k = int(np.argmax(values))
         if values[k] > values[centre]:
@@ -135,7 +136,7 @@ def maximize_objective(corr: CorrelationData, cfg: SolverConfig | None = None):
     def stencil(points):
         return reduced_over_a_batch(corr, sphere_direction(points[:, 0], points[:, 1]))
 
-    best = _refine(stencil, angles[k], cfg.b_grid_step, cfg)
+    best = _refine(stencil, angles[k], cfg.b_grid_step)
     b_star = sphere_direction(best[0], best[1])
     f_max, a_star = reduced_over_a(corr, b_star)
     return f_max, _orient(a_star), _orient(b_star)
@@ -164,7 +165,7 @@ def _oracle_search(corr: CorrelationData, cfg: SolverConfig):
         return objective_rows(corr, a, b)
 
     start = np.concatenate([b_angles[ib], a_angles[ia]])
-    angles = _refine(stencil, start, cfg.oracle_angle_step, cfg)
+    angles = _refine(stencil, start, cfg.oracle_angle_step)
     a_star = sphere_direction(angles[2], angles[3])
     b_star = sphere_direction(angles[0], angles[1])
     return objective_f(corr, (a_star, b_star)), _orient(a_star), _orient(b_star)
@@ -176,43 +177,15 @@ def brute_force_oracle(corr: CorrelationData, cfg: SolverConfig | None = None) -
 
 
 def xstate_candidates(corr: CorrelationData) -> list[MeasurementDirections]:
-    """Finite candidate set for correlation data in the canonical zero pattern.
+    """Each axis b = e1, e2, e3 with its exact maximizing a (canonical data only).
 
-    b runs over (0,0,+-1) and (0,+-1,0). Per b, the a-candidates are the
-    in-plane stationary angles (cos t, 0, sin t) with
-    t = arctan(2(x1 x3 + T13 T33) / (x3^2 + T33^2 - x1^2 - T13^2)) / 2
-    (t in {pi/4, 3pi/4} when the denominator vanishes) together with t +
-    pi/2, plus the exact eigenvector maximizer, de-duplicated at 1e-9.
+    f is even in b, so -b adds nothing. The best candidate is the global
+    maximum on the X pattern (T diagonal, x and y along e3) and on the
+    zero-y pattern (y = 0, x in the 1-3 plane, T supported on (1,3), (2,2),
+    (3,3)); on general canonical data it can fall below the fast path.
     """
     require_canonical(corr)
-    x1, x3 = corr.x[0], corr.x[2]
-    t13, t33 = corr.T[0, 2], corr.T[2, 2]
-    den = x3 * x3 + t33 * t33 - x1 * x1 - t13 * t13
-    num = 2.0 * (x1 * x3 + t13 * t33)
-    if abs(den) <= 1e-12:
-        thetas = [math.pi / 4.0, 3.0 * math.pi / 4.0]
-    else:
-        theta = 0.5 * math.atan(num / den)
-        thetas = [theta, theta + math.pi / 2.0]
-    stationary = [np.array([math.cos(t), 0.0, math.sin(t)]) for t in thetas]
-
-    candidates: list[MeasurementDirections] = []
-    seen: list[np.ndarray] = []
-    for b in (
-        np.array([0.0, 0.0, 1.0]),
-        np.array([0.0, 0.0, -1.0]),
-        np.array([0.0, 1.0, 0.0]),
-        np.array([0.0, -1.0, 0.0]),
-    ):
-        best_a = reduced_over_a(corr, b)[1]
-        for a in stationary + [best_a]:
-            a = _orient(a)
-            key = np.concatenate([a, b])
-            if any(np.abs(key - k).max() <= 1e-9 for k in seen):
-                continue
-            seen.append(key)
-            candidates.append(MeasurementDirections(a=a, b=b))
-    return candidates
+    return [MeasurementDirections(a=_orient(reduced_over_a(corr, b)[1]), b=b) for b in np.eye(3)]
 
 
 def ggqd(rho: DensityMatrix, cfg: SolverConfig | None = None, method: str = "fast") -> GgqdResult:
@@ -221,7 +194,8 @@ def ggqd(rho: DensityMatrix, cfg: SolverConfig | None = None, method: str = "fas
     method:
       fast    exact a-reduction over a b-grid with compass-search polish
       oracle  4-angle brute force with compass-search polish only
-      xstate  best of the canonical-form candidate set (canonical data only)
+      xstate  best of the exact a-reduction at b = e1, e2, e3 (canonical
+              data only; exact on the X and zero-y patterns)
       both    fast, cross-checked against the oracle (fills oracle_gap)
     """
     if method not in _METHODS:

@@ -97,6 +97,54 @@ def test_compute_methods(tmp_path, capsys):
     assert abs(report["ggqd"] - 0.0625) <= 5e-4
 
 
+def test_compute_xstate_classical_x_state(tmp_path, capsys):
+    # T = diag(0.8, 0, 0): a classical state whose optimum is b = e1
+    path = str(tmp_path / "x.json")
+    code = main(["gen", "x-state", "rho03=0.2", "rho12=0.2", "-o", path])
+    assert code == 0
+    code, out = run_cli(["compute", path, "--method", "xstate", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ggqd"] == 0.0
+    assert report["method"] == "xstate_candidates"
+
+
+def test_compute_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
+    # the oracle agrees with the fast path on every known state, so force a gap
+    import ggqd.solver as solver_mod
+
+    real_oracle = solver_mod.brute_force_oracle
+    monkeypatch.setattr(solver_mod, "brute_force_oracle", lambda corr, cfg=None: real_oracle(corr, cfg) + 0.5)
+    path = write_mixed(tmp_path)
+    code, out = run_cli(["compute", path, "--method", "both", "--oracle-step", "0.3", "--json"], capsys)
+    assert code == 5
+    assert abs(json.loads(out)["oracle_gap"] - 0.5) <= 1e-9  # the report is still printed
+    code, out = run_cli(["compute", path, "--method", "both", "--oracle-step", "0.3"], capsys)
+    assert code == 5
+    assert "oracle_gap = 0.5" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "compute", "oracle"])
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "NaN",
+        "Infinity",
+        "-Infinity",
+        "1e400",
+        pytest.param("1" + "0" * 400, id="huge-int"),
+        pytest.param("1" + "0" * 5000, id="int-past-digit-limit"),
+    ],
+)
+def test_non_finite_state_file_is_parse_error(tmp_path, capsys, command, literal):
+    path = tmp_path / "bad.json"
+    path.write_text(state_to_json(validate_density(np.eye(4) / 4)).replace("0.25", literal, 1), encoding="utf-8")
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: cannot parse input" in err
+
+
 def test_compute_config_flags(tmp_path, capsys):
     path = write_mixed(tmp_path)
     code, _ = run_cli(["compute", path, "--b-grid-step", "0.1"], capsys)

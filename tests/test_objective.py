@@ -70,6 +70,14 @@ def test_objective_non_unit_direction():
         MeasurementDirections(a=E3, b=np.array([0.0, 0.0, 0.9]))
 
 
+def test_nan_direction_rejected():
+    nan_dir = np.array([np.nan, 0.0, 1.0])
+    with pytest.raises(NonUnitDirectionError):
+        MeasurementDirections(a=nan_dir, b=E3)
+    with pytest.raises(NonUnitDirectionError):
+        objective_f(mixed_corr(), (E3, nan_dir))
+
+
 def test_measurement_directions_from_angles():
     dirs = MeasurementDirections.from_angles(0.3, 1.1, 2.0, 0.6)
     assert np.allclose(dirs.b, sphere_direction(0.3, 1.1), atol=1e-15)
@@ -108,6 +116,19 @@ def test_rank2_degenerate_tiebreak():
     lam, vec = rank2_lambda_max(np.zeros(3), np.zeros(3))
     assert lam == 0.0
     assert np.array_equal(vec, E3)
+
+
+@pytest.mark.parametrize("scale", [1e-140, 1e-94, 1e150])
+def test_rank2_tiny_and_huge_inputs(scale):
+    # the squared norms of such inputs under- or overflow unless rescaled
+    u = np.array([0.3, -0.4, 0.5])
+    v = np.array([0.1, 0.7, 0.2])
+    lam_ref, vec_ref = rank2_lambda_max(u, v)
+    lam, vec = rank2_lambda_max(scale * u, scale * v)
+    assert abs(lam / (scale * scale) - lam_ref) <= 1e-12 * lam_ref
+    assert np.allclose(vec, vec_ref, atol=1e-12)
+    lam, vec = rank2_lambda_max(np.zeros(3), scale * E1)
+    assert np.allclose(np.abs(vec), E1, atol=1e-15)
 
 
 def test_rank2_against_characteristic_polynomial():

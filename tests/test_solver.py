@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 from conftest import haar_unitary, random_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ggqd as ggqd_pkg
 from ggqd import (
@@ -45,6 +47,21 @@ def closed_form_bell(c3):
     return (1.0 + c3 * c3 - max(1.0, c3 * c3)) / 4.0
 
 
+def random_x_state(rng):
+    """A physical member of the x_state family: Dirichlet diagonal, PSD-bounded coherences."""
+    diag = rng.dirichlet(np.ones(4))
+    params = dict(zip(("rho00", "rho11", "rho22", "rho33"), diag))
+    params["rho03"] = rng.uniform(-1.0, 1.0) * np.sqrt(diag[0] * diag[3])
+    params["rho12"] = rng.uniform(-1.0, 1.0) * np.sqrt(diag[1] * diag[2])
+    return generate_state(StateFamilySpec("x_state", params))
+
+
+def x_pattern_f_max(corr):
+    """Closed form on the X pattern (T diagonal, x and y along e3)."""
+    t = np.diagonal(corr.T)
+    return 1.0 + max(corr.x[2] ** 2 + corr.y[2] ** 2 + t[2] ** 2, t[0] ** 2, t[1] ** 2)
+
+
 def contains_direction(pairs, a, b, tol=1e-9):
     return any(
         np.abs(d.a - a).max() <= tol and np.abs(d.b - b).max() <= tol for d in pairs
@@ -55,7 +72,6 @@ def test_config_defaults():
     cfg = SolverConfig()
     assert cfg.b_grid_step == 0.035
     assert cfg.oracle_angle_step == 0.087
-    assert cfg.refine_max_iterations == 200
 
 
 @pytest.mark.parametrize(
@@ -66,7 +82,6 @@ def test_config_defaults():
         {"oracle_angle_step": -0.1},
         {"oracle_angle_step": 0.0},
         {"oracle_angle_step": 2.0},
-        {"refine_max_iterations": 5},
     ],
 )
 def test_config_validation(kwargs):
@@ -144,6 +159,40 @@ def test_xstate_candidates_reject_non_canonical():
     t[1, 2] = 0.3
     with pytest.raises(NotCanonicalFormError):
         xstate_candidates(CorrelationData(x=np.zeros(3), y=np.zeros(3), T=t))
+
+
+def test_xstate_exact_on_x_state_family():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        rho = random_x_state(rng)
+        corr = pauli_decompose(rho)
+        f_xstate = ggqd(rho, method="xstate").f_max
+        assert abs(f_xstate - maximize_objective(corr)[0]) <= 1e-9
+        assert abs(f_xstate - x_pattern_f_max(corr)) <= 1e-12
+
+
+_unit_interval = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(x3=_unit_interval, y3=_unit_interval, t=st.tuples(_unit_interval, _unit_interval, _unit_interval))
+def test_xstate_exact_on_x_pattern(x3, y3, t):
+    # physical or not: the three axes reach the closed-form maximum
+    corr = CorrelationData(x=np.array([0.0, 0.0, x3]), y=np.array([0.0, 0.0, y3]), T=np.diag(t))
+    f_cand = max(objective_f(corr, d) for d in xstate_candidates(corr))
+    assert abs(f_cand - x_pattern_f_max(corr)) <= 1e-12
+    assert f_cand >= maximize_objective(corr)[0] - 1e-9
+
+
+def test_bell_sweep_a_keeps_one_sign():
+    # a = +-e2 with a ~1e-8 third component; polish noise must not pick the sign
+    signs = set()
+    for k in range(41):
+        rho = generate_state(StateFamilySpec("bell_mixture", {"c3": -1.0 + 0.05 * k}), allow_nonphysical=True)
+        a = ggqd(rho).a_star
+        if abs(a[1]) > 0.5:
+            signs.add(float(np.sign(a[1])))
+    assert signs == {1.0}
 
 
 @pytest.mark.parametrize(
@@ -251,9 +300,9 @@ def test_xstate_consistency_bell_family():
 def test_xstate_consistency_zero_y_family():
     # Candidate completeness needs more than the canonical zero pattern: with
     # y = 0, x in the 1-3 plane and T supported on (1,3),(2,2),(3,3), the
-    # optimal a is either e2 or in the 1-3 plane, which pins b to the
-    # candidate axes. (For general canonical data the optimum can sit at
-    # b = +-e1, e.g. T = diag(t,0,0), which no candidate reaches.)
+    # first column of T vanishes, so a b1 component only lowers f, and the
+    # optimum sits at b = e2 or e3. (General canonical data can put the
+    # optimal b off the three axes.)
     rng = np.random.default_rng(47)
     for _ in range(50):
         t = np.zeros((3, 3))
@@ -297,7 +346,6 @@ def test_ggqd_rejects_bare_array_with_wrong_trace():
 
 
 def test_refine_never_worse_than_start():
-    cfg = SolverConfig()
     rng = np.random.default_rng(8)
     for _ in range(20):
         w = rng.standard_normal(4)
@@ -306,7 +354,7 @@ def test_refine_never_worse_than_start():
             return np.sin(points @ w) + np.cos(3.0 * points[:, 0] * points[:, -1])
 
         start = rng.uniform(-2.0, 2.0, 4)
-        end = _refine(bumpy, start, 0.3, cfg)
+        end = _refine(bumpy, start, 0.3)
         assert bumpy(end[None])[0] >= bumpy(start[None])[0]
 
 
@@ -318,10 +366,10 @@ def test_refine_stops_on_constant_function():
         return np.zeros(len(points))
 
     start = np.array([0.4, -1.3])
-    assert np.array_equal(_refine(flat, start, 1e-7, SolverConfig()), start)
+    assert np.array_equal(_refine(flat, start, 1e-7), start)
     assert calls == [9]  # one 3^2 stencil: the centre wins at the final step
     calls.clear()
-    assert np.array_equal(_refine(flat, start, 0.1, SolverConfig()), start)
+    assert np.array_equal(_refine(flat, start, 0.1), start)
     assert len(calls) == 21  # only halvings: 0.1 / 2^20 <= 1e-7 < 0.1 / 2^19
 
 
@@ -332,7 +380,7 @@ def test_refine_reaches_quadratic_maximum(dim):
     def quadratic(points):
         return 5.0 - np.sum((points - peak) ** 2, axis=1)
 
-    end = _refine(quadratic, np.zeros(dim), 0.5, SolverConfig())
+    end = _refine(quadratic, np.zeros(dim), 0.5)
     assert abs(quadratic(end[None])[0] - 5.0) <= 1e-12
 
 
