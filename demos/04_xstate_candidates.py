@@ -5,13 +5,15 @@ and the middle row/column of T vanish) the xstate route evaluates the exact
 maximum over a at b = e1, e2 and e3 (f is even in b, so -b adds nothing).
 On the X pattern (every x-state family member) and on the zero-y pattern
 the best axis is the global maximum, so the whole optimization collapses to
-three closed-form evaluations. On general canonical data it is not.
+three closed-form evaluations. On general canonical data it is not, so the
+route refuses such data with NotCanonicalFormError (the CLI exits 2).
 """
 
 import numpy as np
 
 from ggqd import (
     CorrelationData,
+    NotCanonicalFormError,
     StateFamilySpec,
     generate_state,
     ggqd,
@@ -49,8 +51,12 @@ t = np.zeros((3, 3))
 t[0, 2], t[1, 1], t[2, 2] = 0.55, -0.65, 0.4
 show(CorrelationData(x=np.array([0.3, 0.0, -0.5]), y=np.zeros(3), T=t))
 
-print("=== general canonical data: the optimum leaves the axes ===")
+print("=== general canonical data: the optimum can leave the axes ===")
 t = np.zeros((3, 3))
 t[0, 0], t[0, 2], t[2, 0], t[1, 1], t[2, 2] = 0.5, 0.4, -0.3, 0.2, 0.6
-show(CorrelationData(x=np.array([0.3, 0.0, 0.2]), y=np.array([-0.4, 0.0, 0.1]), T=t))
-print("Here the axes fall short and the full solver is required.")
+corr = CorrelationData(x=np.array([0.3, 0.0, 0.2]), y=np.array([-0.4, 0.0, 0.1]), T=t)
+try:
+    xstate_candidates(corr)
+except NotCanonicalFormError as exc:
+    print(f"refused: {exc}")
+print(f"the full solver gives f_max = {maximize_objective(corr)[0]:.12f}")

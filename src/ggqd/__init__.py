@@ -4,7 +4,8 @@ The discord value is trace_cc(corr) - f_max / 4, where corr is the Bloch
 form (x, y, T) of the state, trace_cc the squared Frobenius norm of its
 correlation-coefficient matrix, and f_max the maximum of the measurement
 objective f(a, b) = 1 + (y.b)^2 + (x.a)^2 + (a.Tb)^2 over unit directions
-a, b. See :func:`ggqd.solver.ggqd` for the entry point.
+a, b. See :func:`ggqd.solver.ggqd` for the entry point and
+:func:`ggqd.solver.ggqd_many` for many states in one batch.
 """
 
 from .errors import (
@@ -53,6 +54,7 @@ from .solver import (
     SolverConfig,
     brute_force_oracle,
     ggqd,
+    ggqd_many,
     maximize_objective,
     xstate_candidates,
 )
@@ -83,6 +85,7 @@ __all__ = [
     "correlation_matrix",
     "generate_state",
     "ggqd",
+    "ggqd_many",
     "load_state",
     "local_unitary_conjugate",
     "maximize_objective",

@@ -30,7 +30,8 @@ from .qstate import (
     parse_state_matrix,
     save_state,
 )
-from .solver import SolverConfig, brute_force_oracle, ggqd, maximize_objective
+from .objective import require_xstate_pattern
+from .solver import SolverConfig, brute_force_oracle, ggqd, ggqd_many, maximize_objective
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -144,18 +145,26 @@ def _cmd_sweep(args) -> int:
         output_path=args.output,
     )
     cfg = _config(args)
-    lines = [CSV_HEADER]
-    first_gap = None
-    for value in spec.values():
+    # Every point is generated and decomposed before any solve; only its
+    # Bloch data is kept for the one batched solve.
+    values, corrs = spec.values(), []
+    for value in values:
         try:
             state = generate_state(
                 StateFamilySpec(spec.family, {spec.param_name: value}),
                 allow_nonphysical=args.allow_nonphysical,
             )
-            res = ggqd(state, cfg, method=spec.method)
+            corr = pauli_decompose(state)
+            if spec.method == "xstate":
+                require_xstate_pattern(corr)
         except GgqdError as exc:
             print(f"error: {spec.param_name} = {_fmt(value)}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
+        corrs.append(corr)
+
+    lines = [CSV_HEADER]
+    first_gap = None
+    for value, res in zip(values, ggqd_many(corrs, cfg, method=spec.method)):
         if first_gap is None and res.oracle_gap is not None and res.oracle_gap > ORACLE_GAP_LIMIT:
             first_gap = (value, res.oracle_gap)
         a, b = res.a_star, res.b_star

@@ -2,7 +2,10 @@
 
 The fast path grids the b-sphere, evaluates the exact a-reduction at every
 node, and polishes the best node with a compass search in the two
-b-angles; the a-maximizer is then exact at the polished b. The brute force
+b-angles; the a-maximizer is then exact at the polished b. It is batched:
+the grid and its monomials are built once per step, each state's grid costs
+one small matrix product against the monomials, and the polishes of all
+states run in lockstep; one state is a batch of one. The brute force
 oracle searches all four angles on a grid with one compass-search polish
 and evaluates f directly, never touching the analytic reduction, so the two
 routes are independent.
@@ -12,6 +15,7 @@ GGQD(rho) = trace_cc(corr) - f_max / 4.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,15 +24,16 @@ import numpy as np
 
 from .objective import (
     MeasurementDirections,
+    direction_monomials,
     objective_f,
     objective_rows,
     reduced_over_a,
-    reduced_over_a_batch,
-    require_canonical,
+    reduced_over_a_monomials,
+    reduction_coefficients,
+    require_xstate_pattern,
     sphere_direction,
 )
 from .pauli import CorrelationData, pauli_decompose, trace_cc
-from .qstate import DensityMatrix
 
 _METHODS = ("fast", "oracle", "xstate", "both")
 
@@ -44,8 +49,11 @@ class SolverConfig:
 
     Defaults keep the oracle under ~2 s per state (73 x 37 = 2,701 nodes
     per sphere, so 7,295,401 objective evaluations at the 5 degree grid)
-    and the fast path in the millisecond range at the 2 degree b-grid.
-    Each step is also the first compass-search step of its polish.
+    and the fast path at a few milliseconds per state at the 2 degree
+    b-grid (180 x 91 = 16,380 nodes), less per state in a batch. Each
+    step is also the first compass-search step of its polish. The grid of
+    a step is built on first use and cached (for the last four steps of
+    each path), so changing a step costs one rebuild.
     """
 
     b_grid_step: float = 0.035
@@ -88,37 +96,97 @@ def _orient(v: np.ndarray) -> np.ndarray:
     return -w if flip else w
 
 
-def _direction_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """All unit vectors of the (azimuth, polar) product grid, and their angle pairs."""
+def _grid_angles(step: float) -> np.ndarray:
+    """The (azimuth, polar) pairs of the product grid at ``step``, read-only."""
     azimuth = np.arange(0.0, 2.0 * math.pi, step)
     polar = np.arange(0.0, math.pi + 0.5 * step, step)
     angles = np.stack(np.meshgrid(azimuth, polar, indexing="ij"), axis=-1).reshape(-1, 2)
-    return sphere_direction(angles[:, 0], angles[:, 1]), angles
+    angles.setflags(write=False)
+    return angles
+
+
+@functools.lru_cache(maxsize=4)
+def _direction_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
+    """All unit vectors of the (azimuth, polar) product grid, and their angle pairs.
+
+    Built once per step and shared read-only.
+    """
+    angles = _grid_angles(step)
+    bs = sphere_direction(angles[:, 0], angles[:, 1])
+    bs.setflags(write=False)
+    return bs, angles
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_monomials(step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's angle pairs and the direction_monomials of its directions, read-only.
+
+    The monomials are one contiguous (9, m) array. The fast path needs no
+    direction vectors beside them, so unlike _direction_grid none are kept.
+    """
+    angles = _grid_angles(step)
+    mono = direction_monomials(sphere_direction(angles[:, 0], angles[:, 1]))
+    mono.setflags(write=False)
+    return angles, mono
 
 
 def _refine(fun, start: np.ndarray, step: float) -> np.ndarray:
-    """Compass search for a local maximum of ``fun`` near ``start``.
+    """Compass search for a local maximum of ``fun`` near each row of ``start``.
 
-    ``fun`` maps an (n, d) array of points to n values. Each iteration
-    evaluates the full 3^d stencil ``x + step * {-1, 0, 1}^d`` in one call
-    and moves to its best point if that beats the centre x; otherwise it
-    halves the step. It stops once the centre wins at a step of at most
-    _REFINE_STEP_TOL, or after _REFINE_MAX_ITERATIONS iterations. It never
-    moves to a worse point, so the result is at least as good as ``start``.
+    ``start`` is (n, d): n independent searches run in lockstep, each with
+    its own step, which begins at ``step``. ``fun`` maps an (n, 3^d, d)
+    array of points to (n, 3^d) values, row k depending only on row k of
+    the points. Each iteration evaluates every row's full 3^d stencil
+    ``x + step * {-1, 0, 1}^d`` in one call; a row moves to its best point
+    if that beats the centre x and otherwise halves its step. A row is done
+    once its centre wins at a step of at most _REFINE_STEP_TOL: it then
+    stays put and, re-evaluated at the same points, repeats that decision,
+    so every row follows exactly the path it would follow alone. The loop
+    ends when every row is done, or after _REFINE_MAX_ITERATIONS
+    iterations. No row moves to a worse point.
     """
-    offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=len(start))))
-    centre = len(offsets) // 2  # the all-zero offset
-    x = np.asarray(start, dtype=float)
+    x = np.array(start, dtype=float)
+    zero = (0.0,) * x.shape[1]
+    others = [o for o in itertools.product((-1.0, 0.0, 1.0), repeat=len(zero)) if o != zero]
+    # The centre comes first: argmax picks it unless a point beats it
+    # strictly, and ties between other points go to the first in product order.
+    offsets = np.array([zero] + others)
+    h = np.full(len(x), float(step))
     for _ in range(_REFINE_MAX_ITERATIONS):
-        values = fun(x + step * offsets)
-        k = int(np.argmax(values))
-        if values[k] > values[centre]:
-            x = x + step * offsets[k]
-        elif step <= _REFINE_STEP_TOL:
+        k = fun(x[:, None, :] + h[:, None, None] * offsets).argmax(axis=1)
+        shrink = (k == 0) & (h > _REFINE_STEP_TOL)
+        if not (k.any() or shrink.any()):
             break
-        else:
-            step *= 0.5
+        x += h[:, None] * offsets[k]  # offsets[0] is zero: a row that stays adds 0
+        h[shrink] *= 0.5
     return x
+
+
+def _maximize_many(corrs: list[CorrelationData], cfg: SolverConfig) -> list[tuple]:
+    """maximize_objective for each of ``corrs``, as one batch.
+
+    Each state's grid is evaluated on its own, through the cached grid
+    monomials; the polishes then run in lockstep. Row k of the result is
+    bit for bit what a batch of corrs[k] alone returns.
+    """
+    if not corrs:
+        return []
+    step = cfg.b_grid_step
+    angles, mono = _grid_monomials(step)
+    coefs = np.stack([reduction_coefficients(c) for c in corrs])
+    p = np.array([c.x @ c.x for c in corrs])
+    start = angles[[int(np.argmax(reduced_over_a_monomials(c, pk, mono))) for c, pk in zip(coefs, p)]]
+
+    def stencil(points):
+        mono = direction_monomials(sphere_direction(points[..., 0], points[..., 1]))
+        return reduced_over_a_monomials(coefs, p[:, None], mono)
+
+    out = []
+    for corr, (azimuth, polar) in zip(corrs, _refine(stencil, start, step)):
+        b_star = sphere_direction(azimuth, polar)
+        f_max, a_star = reduced_over_a(corr, b_star)
+        out.append((f_max, _orient(a_star), _orient(b_star)))
+    return out
 
 
 def maximize_objective(corr: CorrelationData, cfg: SolverConfig | None = None):
@@ -127,19 +195,9 @@ def maximize_objective(corr: CorrelationData, cfg: SolverConfig | None = None):
     Returns (f_max, a_star, b_star). The b-sphere is gridded at
     cfg.b_grid_step, the best node is polished by a compass search on the
     two b-angles starting at the grid step, and a_star is the exact top
-    eigenvector at the final b.
+    eigenvector at the final b. A batch of one through the batched solve.
     """
-    cfg = cfg or SolverConfig()
-    bs, angles = _direction_grid(cfg.b_grid_step)
-    k = int(np.argmax(reduced_over_a_batch(corr, bs)))
-
-    def stencil(points):
-        return reduced_over_a_batch(corr, sphere_direction(points[:, 0], points[:, 1]))
-
-    best = _refine(stencil, angles[k], cfg.b_grid_step)
-    b_star = sphere_direction(best[0], best[1])
-    f_max, a_star = reduced_over_a(corr, b_star)
-    return f_max, _orient(a_star), _orient(b_star)
+    return _maximize_many([corr], cfg or SolverConfig())[0]
 
 
 def _oracle_search(corr: CorrelationData, cfg: SolverConfig):
@@ -160,12 +218,12 @@ def _oracle_search(corr: CorrelationData, cfg: SolverConfig):
     ia, ib = np.unravel_index(np.argmax(f), f.shape)
 
     def stencil(points):
-        a = sphere_direction(points[:, 2], points[:, 3])
-        b = sphere_direction(points[:, 0], points[:, 1])
+        a = sphere_direction(points[..., 2], points[..., 3])
+        b = sphere_direction(points[..., 0], points[..., 1])
         return objective_rows(corr, a, b)
 
     start = np.concatenate([b_angles[ib], a_angles[ia]])
-    angles = _refine(stencil, start, cfg.oracle_angle_step)
+    angles = _refine(stencil, start[None], cfg.oracle_angle_step)[0]
     a_star = sphere_direction(angles[2], angles[3])
     b_star = sphere_direction(angles[0], angles[1])
     return objective_f(corr, (a_star, b_star)), _orient(a_star), _orient(b_star)
@@ -177,55 +235,77 @@ def brute_force_oracle(corr: CorrelationData, cfg: SolverConfig | None = None) -
 
 
 def xstate_candidates(corr: CorrelationData) -> list[MeasurementDirections]:
-    """Each axis b = e1, e2, e3 with its exact maximizing a (canonical data only).
+    """Each axis b = e1, e2, e3 with its exact maximizing a.
 
     f is even in b, so -b adds nothing. The best candidate is the global
     maximum on the X pattern (T diagonal, x and y along e3) and on the
     zero-y pattern (y = 0, x in the 1-3 plane, T supported on (1,3), (2,2),
-    (3,3)); on general canonical data it can fall below the fast path.
+    (3,3)); any other data raises NotCanonicalFormError, naming how far it
+    is from each pattern.
     """
-    require_canonical(corr)
+    require_xstate_pattern(corr)
     return [MeasurementDirections(a=_orient(reduced_over_a(corr, b)[1]), b=b) for b in np.eye(3)]
 
 
-def ggqd(rho: DensityMatrix, cfg: SolverConfig | None = None, method: str = "fast") -> GgqdResult:
-    """Geometric global quantum discord of a two-qubit state.
+def _xstate_search(corr: CorrelationData):
+    pairs = xstate_candidates(corr)
+    values = [objective_f(corr, d) for d in pairs]
+    k = int(np.argmax(values))
+    return values[k], pairs[k].a, pairs[k].b
 
-    method:
-      fast    exact a-reduction over a b-grid with compass-search polish
-      oracle  4-angle brute force with compass-search polish only
-      xstate  best of the exact a-reduction at b = e1, e2, e3 (canonical
-              data only; exact on the X and zero-y patterns)
-      both    fast, cross-checked against the oracle (fills oracle_gap)
+
+def ggqd_many(states, cfg: SolverConfig | None = None, method: str = "fast") -> list[GgqdResult]:
+    """Geometric global quantum discord of each state, solved as one batch.
+
+    Each state is a DensityMatrix, a bare 4x4 array (validated as in
+    pauli_decompose) or its CorrelationData. Result k is bit for bit
+    ``ggqd(states[k], cfg, method)``. The fast path (also under ``both``)
+    evaluates each state's b-grid on its own and polishes all states in
+    lockstep; ``oracle``, ``xstate`` and the oracle half of ``both`` run
+    state by state. See :func:`ggqd` for the methods.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'; expected one of {_METHODS}")
     cfg = cfg or SolverConfig()
-    corr = pauli_decompose(rho)
-    tcc = trace_cc(corr)
-    gap = None
+    corrs = [s if isinstance(s, CorrelationData) else pauli_decompose(s) for s in states]
 
     if method == "xstate":
-        pairs = xstate_candidates(corr)
-        values = [objective_f(corr, d) for d in pairs]
-        k = int(np.argmax(values))
-        f_max, a_star, b_star = values[k], pairs[k].a, pairs[k].b
-        name = "xstate_candidates"
+        solved, name = [_xstate_search(c) for c in corrs], "xstate_candidates"
     elif method == "oracle":
-        f_max, a_star, b_star = _oracle_search(corr, cfg)
-        name = "oracle"
+        solved, name = [_oracle_search(c, cfg) for c in corrs], "oracle"
     else:
-        f_max, a_star, b_star = maximize_objective(corr, cfg)
-        name = "fast"
-        if method == "both":
-            gap = abs(f_max - brute_force_oracle(corr, cfg))
+        solved, name = _maximize_many(corrs, cfg), "fast"
 
-    return GgqdResult(
-        ggqd=tcc - 0.25 * f_max,
-        f_max=f_max,
-        a_star=a_star,
-        b_star=b_star,
-        trace_cc=tcc,
-        method=name,
-        oracle_gap=gap,
-    )
+    results = []
+    for corr, (f_max, a_star, b_star) in zip(corrs, solved):
+        tcc = trace_cc(corr)
+        gap = abs(f_max - brute_force_oracle(corr, cfg)) if method == "both" else None
+        results.append(
+            GgqdResult(
+                ggqd=tcc - 0.25 * f_max,
+                f_max=f_max,
+                a_star=a_star,
+                b_star=b_star,
+                trace_cc=tcc,
+                method=name,
+                oracle_gap=gap,
+            )
+        )
+    return results
+
+
+def ggqd(rho, cfg: SolverConfig | None = None, method: str = "fast") -> GgqdResult:
+    """Geometric global quantum discord of a two-qubit state.
+
+    ``rho`` is a DensityMatrix, a bare 4x4 array or its CorrelationData;
+    the call is ``ggqd_many([rho], cfg, method)[0]``, a batch of one.
+
+    method:
+      fast    exact a-reduction over a cached b-grid with compass-search polish
+      oracle  4-angle brute force with compass-search polish only
+      xstate  best of the exact a-reduction at b = e1, e2, e3 (only on the X
+              and zero-y patterns, where it is exact; NotCanonicalFormError
+              otherwise)
+      both    fast, cross-checked against the oracle (fills oracle_gap)
+    """
+    return ggqd_many([rho], cfg, method)[0]

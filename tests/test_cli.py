@@ -5,8 +5,17 @@ import sys
 import numpy as np
 import pytest
 
-from ggqd import StateFamilySpec, generate_state, save_state, state_to_json, validate_density
-from ggqd.cli import CSV_HEADER, main
+from ggqd import (
+    CorrelationData,
+    StateFamilySpec,
+    generate_state,
+    ggqd,
+    reconstruct_density,
+    save_state,
+    state_to_json,
+    validate_density,
+)
+from ggqd.cli import CSV_HEADER, _fmt, main
 
 
 def run_cli(args, capsys):
@@ -107,6 +116,20 @@ def test_compute_xstate_classical_x_state(tmp_path, capsys):
     report = json.loads(out)
     assert report["ggqd"] == 0.0
     assert report["method"] == "xstate_candidates"
+
+
+def test_compute_xstate_rejects_data_off_both_patterns(tmp_path, capsys):
+    # canonical, but T13 != 0 rules out the X pattern and y != 0 the zero-y one
+    t = np.diag([0.5, 0.2, 0.6])
+    t[0, 2] = 0.4
+    corr = CorrelationData(x=np.array([0.0, 0.0, 0.2]), y=np.array([0.0, 0.0, 0.1]), T=t)
+    path = tmp_path / "canonical.json"
+    save_state(path, reconstruct_density(corr))
+    code = main(["compute", str(path), "--allow-nonphysical", "--method", "xstate"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "X pattern" in captured.err and "zero-y pattern" in captured.err
+    assert captured.out == ""
 
 
 def test_compute_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
@@ -270,6 +293,39 @@ def test_sweep_names_invalid_point(tmp_path, capsys):
     assert code == 2
     assert "c3 = -1:" in err and "smallest eigenvalue" in err
     assert not out_csv.exists()
+
+
+def test_sweep_xstate_names_point_off_patterns(tmp_path, capsys):
+    # |0> x |b(theta_b)>: on the X pattern at theta_b = 0 only
+    out_csv = tmp_path / "xstate.csv"
+    code = main(["sweep", "pure-product", "theta_b", "--from", "0", "--to", "1", "--step", "0.5",
+                 "--method", "xstate", "-o", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "theta_b = 0.5:" in err and "X pattern" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "family,param,start,stop,step,flags",
+    [
+        ("werner", "p", 0.0, 1.0, 0.1, []),
+        ("bell-mixture", "c3", -1.0, 1.0, 0.25, ["--allow-nonphysical"]),
+    ],
+)
+def test_sweep_csv_matches_per_state_ggqd(tmp_path, capsys, family, param, start, stop, step, flags):
+    out_csv = tmp_path / "sweep.csv"
+    code = main(["sweep", family, param, "--from", str(start), "--to", str(stop), "--step", str(step),
+                 "-o", str(out_csv), *flags])
+    assert code == 0
+    want = [CSV_HEADER]
+    for k in range(int(round((stop - start) / step)) + 1):
+        value = start + k * step
+        rho = generate_state(StateFamilySpec(family, {param: value}), allow_nonphysical=bool(flags))
+        res = ggqd(rho)
+        cells = [value, res.ggqd, res.f_max, *res.a_star, *res.b_star, res.trace_cc]
+        want.append(",".join([_fmt(c) for c in cells] + [res.method]))
+    assert out_csv.read_text() == "\n".join(want) + "\n"
 
 
 def test_sweep_unwritable_output(capsys):

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import haar_unitary, random_state
+from conftest import haar_unitary, random_rotation, random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +18,7 @@ from ggqd import (
     brute_force_oracle,
     generate_state,
     ggqd,
+    ggqd_many,
     local_unitary_conjugate,
     maximize_objective,
     objective_f,
@@ -28,7 +29,7 @@ from ggqd import (
     validate_density,
     xstate_candidates,
 )
-from ggqd.solver import _refine
+from ggqd.solver import _direction_grid, _grid_monomials, _maximize_many, _refine
 
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -159,6 +160,17 @@ def test_xstate_candidates_reject_non_canonical():
     t[1, 2] = 0.3
     with pytest.raises(NotCanonicalFormError):
         xstate_candidates(CorrelationData(x=np.zeros(3), y=np.zeros(3), T=t))
+
+
+def test_xstate_rejects_data_off_both_patterns():
+    # canonical, but T13 != 0 rules out the X pattern and y != 0 the zero-y one
+    t = np.diag([0.5, 0.2, 0.6])
+    t[0, 2] = 0.4
+    corr = CorrelationData(x=np.array([0.0, 0.0, 0.2]), y=np.array([0.0, 0.0, 0.1]), T=t)
+    with pytest.raises(NotCanonicalFormError, match="X pattern.*zero-y pattern"):
+        xstate_candidates(corr)
+    with pytest.raises(NotCanonicalFormError):
+        ggqd(reconstruct_density(corr), method="xstate")
 
 
 def test_xstate_exact_on_x_state_family():
@@ -351,9 +363,9 @@ def test_refine_never_worse_than_start():
         w = rng.standard_normal(4)
 
         def bumpy(points):
-            return np.sin(points @ w) + np.cos(3.0 * points[:, 0] * points[:, -1])
+            return np.sin(points @ w) + np.cos(3.0 * points[..., 0] * points[..., -1])
 
-        start = rng.uniform(-2.0, 2.0, 4)
+        start = rng.uniform(-2.0, 2.0, (1, 4))
         end = _refine(bumpy, start, 0.3)
         assert bumpy(end[None])[0] >= bumpy(start[None])[0]
 
@@ -362,10 +374,10 @@ def test_refine_stops_on_constant_function():
     calls = []
 
     def flat(points):
-        calls.append(len(points))
-        return np.zeros(len(points))
+        calls.append(points.shape[1])
+        return np.zeros(points.shape[:2])
 
-    start = np.array([0.4, -1.3])
+    start = np.array([[0.4, -1.3]])
     assert np.array_equal(_refine(flat, start, 1e-7), start)
     assert calls == [9]  # one 3^2 stencil: the centre wins at the final step
     calls.clear()
@@ -378,10 +390,33 @@ def test_refine_reaches_quadratic_maximum(dim):
     peak = np.array([0.3, -1.2, 2.05, 0.7])[:dim]
 
     def quadratic(points):
-        return 5.0 - np.sum((points - peak) ** 2, axis=1)
+        return 5.0 - np.sum((points - peak) ** 2, axis=-1)
 
-    end = _refine(quadratic, np.zeros(dim), 0.5)
+    end = _refine(quadratic, np.zeros((1, dim)), 0.5)
     assert abs(quadratic(end[None])[0] - 5.0) <= 1e-12
+
+
+def test_refine_rows_match_single_runs():
+    # each row maximizes its own quadratic; the first starts at its peak, so
+    # it only halves its step and is done long before the others
+    peaks = np.array([[0.0, 0.0], [0.3, -1.2], [2.05, 0.7], [-0.9, 1.4]])
+    scales = np.array([1.0, 0.2, 3.0, 0.7])
+    starts = np.array([[0.0, 0.0], [1.0, 1.0], [-0.5, 0.25], [0.1, -0.3]])
+
+    def quadratics(rows, calls):
+        def fun(points):
+            calls.append(len(points))
+            return -np.sum(scales[rows, None, None] * (points - peaks[rows, None, :]) ** 2, axis=-1)
+        return fun
+
+    together = _refine(quadratics(np.arange(4), []), starts, 0.25)
+    iterations = []
+    for k in range(4):
+        calls = []
+        alone = _refine(quadratics(np.array([k]), calls), starts[k:k + 1], 0.25)
+        iterations.append(len(calls))
+        assert np.array_equal(together[k], alone[0])
+    assert iterations[0] == min(iterations) < max(iterations)
 
 
 def test_import_loads_no_scipy():
@@ -395,3 +430,127 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def results_equal(r, s):
+    return (
+        r.ggqd == s.ggqd
+        and r.f_max == s.f_max
+        and np.array_equal(r.a_star, s.a_star)
+        and np.array_equal(r.b_star, s.b_star)
+        and r.trace_cc == s.trace_cc
+        and r.method == s.method
+        and r.oracle_gap == s.oracle_gap
+    )
+
+
+def test_maximize_many_matches_single_solves():
+    corrs = [pauli_decompose(random_state(seed)) for seed in range(200)]
+    corrs += [
+        pauli_decompose(generate_state(StateFamilySpec("werner", {"p": p})))
+        for p in np.linspace(0.0, 1.0, 101)
+    ]
+    cfg = SolverConfig()
+    for batched, corr in zip(_maximize_many(corrs, cfg), corrs):
+        f_max, a_star, b_star = maximize_objective(corr, cfg)
+        assert batched[0] == f_max
+        assert np.array_equal(batched[1], a_star) and np.array_equal(batched[2], b_star)
+
+
+@pytest.mark.parametrize(
+    "method,count",
+    [("fast", 12), ("oracle", 2), ("both", 2), ("xstate", 6)],
+)
+def test_ggqd_many_matches_ggqd(method, count):
+    rng = np.random.default_rng(3)
+    if method == "xstate":
+        states = [random_x_state(rng) for _ in range(count)]
+    else:
+        states = [random_state(40 + k) for k in range(count)]
+    batch = ggqd_many(states, method=method)
+    assert len(batch) == count
+    for res, rho in zip(batch, states):
+        assert results_equal(res, ggqd(rho, method=method))
+
+
+def test_ggqd_many_inputs():
+    rho = random_state(9)
+    corr = pauli_decompose(rho)
+    by_matrix, by_array, by_corr = ggqd_many([rho, rho.entries, corr])
+    assert results_equal(by_matrix, by_array) and results_equal(by_matrix, by_corr)
+    assert ggqd_many([]) == []
+    with pytest.raises(ValueError, match="method"):
+        ggqd_many([rho], method="newton")
+
+
+def test_grid_caches_are_read_only():
+    bs, b_angles = _direction_grid(0.035)
+    angles, mono = _grid_monomials(0.035)
+    assert _direction_grid(0.035)[0] is bs and _grid_monomials(0.035)[1] is mono
+    assert np.array_equal(angles, b_angles)
+    assert mono.shape == (9, len(bs)) and mono.flags.c_contiguous
+    assert np.array_equal(mono[6:], bs.T)
+    for arr in (bs, b_angles, angles, mono):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_import_builds_no_grid():
+    src = os.path.dirname(os.path.dirname(ggqd_pkg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import ggqd, ggqd.cli; from ggqd.solver import _direction_grid, _grid_monomials; "
+         "print(_direction_grid.cache_info().currsize, _grid_monomials.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+_entry = st.floats(-1.0, 1.0, allow_nan=False)
+_seed = st.integers(0, 2**32 - 1)
+
+
+def _rotate(corr, r1, r2):
+    return CorrelationData(x=r1 @ corr.x, y=r2 @ corr.y, T=r1 @ corr.T @ r2.T)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    x=st.tuples(_entry, _entry, _entry),
+    y=st.tuples(_entry, _entry, _entry),
+    t=st.tuples(*[_entry] * 9),
+    seed=_seed,
+)
+def test_property_local_unitary_invariance(x, y, t, seed):
+    # local unitaries act on (x, y, T) as independent SO(3) rotations
+    corr = CorrelationData(x=x, y=y, T=np.reshape(t, (3, 3)))
+    rng = np.random.default_rng(seed)
+    plain, rotated = ggqd_many([corr, _rotate(corr, random_rotation(rng), random_rotation(rng))])
+    assert abs(plain.f_max - rotated.f_max) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(x=st.tuples(_entry, _entry, _entry), y=st.tuples(_entry, _entry, _entry), t=st.tuples(*[_entry] * 9))
+def test_property_swap_symmetry(x, y, t):
+    t = np.reshape(t, (3, 3))
+    plain, swapped = ggqd_many([CorrelationData(x=x, y=y, T=t), CorrelationData(x=y, y=x, T=t.T)])
+    assert abs(plain.f_max - swapped.f_max) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(g=st.lists(_entry, min_size=32, max_size=32), rank=st.integers(1, 4))
+def test_property_ggqd_nonnegative_on_physical_states(g, rank):
+    # G G+ / Tr(G G+) with G of at most ``rank`` nonzero columns is physical
+    g = np.reshape(g, (2, 4, 4))
+    g = (g[0] + 1j * g[1])[:, :rank]
+    m = g @ g.conj().T
+    trace = float(m.trace().real)
+    if trace < 1e-6:
+        m, trace = np.eye(4), 4.0
+    rho = validate_density(m / trace)
+    (res,) = ggqd_many([rho])
+    assert res.ggqd >= -1e-12
