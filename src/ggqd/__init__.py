@@ -51,7 +51,6 @@ from .qstate import (
 )
 from .solver import (
     GgqdResult,
-    SolverConfig,
     brute_force_oracle,
     ggqd,
     ggqd_many,
@@ -76,7 +75,6 @@ __all__ = [
     "PAULIS",
     "ParameterOutOfRangeError",
     "ProbabilitiesNotNormalizedError",
-    "SolverConfig",
     "StateFamilySpec",
     "StateFormatError",
     "TraceNotOneError",

@@ -25,13 +25,14 @@ from .qstate import (
     PSD_TOL,
     TRACE_TOL,
     StateFamilySpec,
+    _round12,
     generate_state,
     load_state,
-    parse_state_matrix,
+    read_state_matrix,
     save_state,
 )
 from .objective import require_xstate_pattern
-from .solver import SolverConfig, brute_force_oracle, ggqd, ggqd_many, maximize_objective
+from .solver import brute_force_oracle, ggqd, ggqd_many, maximize_objective
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,21 +76,8 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _round12(x) -> float:
-    return float(_fmt(x))
-
-
 def _vec_text(v) -> str:
     return "[" + ", ".join(_fmt(c) for c in v) + "]"
-
-
-def _config(args) -> SolverConfig:
-    kwargs = {}
-    if args.b_grid_step is not None:
-        kwargs["b_grid_step"] = args.b_grid_step
-    if args.oracle_step is not None:
-        kwargs["oracle_angle_step"] = args.oracle_step
-    return SolverConfig(**kwargs)
 
 
 def _print_kv(pairs) -> None:
@@ -102,7 +90,7 @@ def _cmd_compute(args) -> int:
     rho = load_state(args.input, allow_nonphysical=args.allow_nonphysical)
     if rho.diagnostic:
         print(f"note: {rho.diagnostic}", file=sys.stderr)
-    res = ggqd(rho, _config(args), method=args.method)
+    res = ggqd(rho, method=args.method)
     if args.json:
         print(
             json.dumps(
@@ -144,7 +132,6 @@ def _cmd_sweep(args) -> int:
         method=args.method,
         output_path=args.output,
     )
-    cfg = _config(args)
     # Every point is generated and decomposed before any solve; only its
     # Bloch data is kept for the one batched solve.
     values, corrs = spec.values(), []
@@ -164,7 +151,7 @@ def _cmd_sweep(args) -> int:
 
     lines = [CSV_HEADER]
     first_gap = None
-    for value, res in zip(values, ggqd_many(corrs, cfg, method=spec.method)):
+    for value, res in zip(values, ggqd_many(corrs, method=spec.method)):
         if first_gap is None and res.oracle_gap is not None and res.oracle_gap > ORACLE_GAP_LIMIT:
             first_gap = (value, res.oracle_gap)
         a, b = res.a_star, res.b_star
@@ -202,8 +189,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        m = parse_state_matrix(fh.read())
+    m = read_state_matrix(args.input)
     herm_dev = float(np.abs(m - m.conj().T).max())
     trace_dev = float(abs(m.trace() - 1.0))
     # eigenvalues of the Hermitian part, so the metric is defined even off-contract
@@ -235,9 +221,8 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle(args) -> int:
     rho = load_state(args.input, allow_nonphysical=args.allow_nonphysical)
     corr = pauli_decompose(rho)
-    cfg = _config(args)
-    f_fast = maximize_objective(corr, cfg)[0]
-    f_oracle = brute_force_oracle(corr, cfg)
+    f_fast = maximize_objective(corr)[0]
+    f_oracle = brute_force_oracle(corr)
     gap = abs(f_fast - f_oracle)
     if args.json:
         print(
@@ -291,15 +276,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(sp) -> None:
-    sp.add_argument("--b-grid-step", type=float, default=None, metavar="RAD",
-                    help="fast-path b-grid step in radians, also the first compass-search "
-                         "step of its polish (default 0.035)")
-    sp.add_argument("--oracle-step", type=float, default=None, metavar="RAD",
-                    help="oracle 4-angle grid step in radians, also the first compass-search "
-                         "step of its polish (default 0.087)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ggqd",
@@ -314,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--allow-nonphysical", action="store_true",
                          help="accept states that fail positivity")
     compute.add_argument("--json", action="store_true", help="emit a single JSON object")
-    _add_config_flags(compute)
     compute.set_defaults(handler=_cmd_compute)
 
     sweep = sub.add_parser("sweep", help="sweep a family parameter, write CSV")
@@ -327,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--method", choices=["fast", "oracle", "xstate", "both"], default="fast",
                        help="'both' also runs the oracle and exits 5 if any point's gap is above 1e-3")
     sweep.add_argument("--allow-nonphysical", action="store_true")
-    _add_config_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
 
     validate = sub.add_parser("validate", help="report physicality diagnostics")
@@ -339,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("input")
     oracle.add_argument("--allow-nonphysical", action="store_true")
     oracle.add_argument("--json", action="store_true")
-    _add_config_flags(oracle)
     oracle.set_defaults(handler=_cmd_oracle)
 
     gen = sub.add_parser("gen", help="generate a family state file")
@@ -369,7 +342,7 @@ def main(argv=None) -> int:
     except GgqdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:  # solver config bounds, bad method names
+    except ValueError as exc:  # non-finite generated entries, a non-integer GGQD_SEED
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # unreadable input; write failures return 4 in-handler

@@ -321,7 +321,23 @@ def parse_state_matrix(text: str) -> np.ndarray:
         obj = json.loads(text)
     except ValueError as exc:  # invalid JSON, or an integer past Python's digit limit
         raise StateFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise StateFormatError("invalid JSON: nested too deeply") from None
     return _matrix_from_obj(obj)
+
+
+def read_state_matrix(path) -> np.ndarray:
+    """Read a state file into a raw 4x4 complex array (no validation).
+
+    Content that is not UTF-8 text, or not the state-file schema, raises
+    StateFormatError; an unreadable file raises OSError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise StateFormatError(f"not UTF-8 text: {exc}") from None
+    return parse_state_matrix(text)
 
 
 def state_from_json(text: str, allow_nonphysical: bool = False) -> DensityMatrix:
@@ -335,5 +351,4 @@ def save_state(path, rho: DensityMatrix) -> None:
 
 
 def load_state(path, allow_nonphysical: bool = False) -> DensityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return state_from_json(fh.read(), allow_nonphysical=allow_nonphysical)
+    return validate_density(read_state_matrix(path), allow_nonphysical=allow_nonphysical)

@@ -3,7 +3,7 @@
 The fast path grids the b-sphere, evaluates the exact a-reduction at every
 node, and polishes the best node with a compass search in the two
 b-angles; the a-maximizer is then exact at the polished b. It is batched:
-the grid and its monomials are built once per step, each state's grid costs
+the grid and its monomials are built once, each state's grid costs
 one small matrix product against the monomials, and the polishes of all
 states run in lockstep; one state is a batch of one. The brute force
 oracle searches all four angles on a grid with one compass-search polish
@@ -42,28 +42,13 @@ _METHODS = ("fast", "oracle", "xstate", "both")
 _REFINE_STEP_TOL = 1e-7
 _REFINE_MAX_ITERATIONS = 200
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Grid and polish knobs.
-
-    Defaults keep the oracle under ~2 s per state (73 x 37 = 2,701 nodes
-    per sphere, so 7,295,401 objective evaluations at the 5 degree grid)
-    and the fast path at a few milliseconds per state at the 2 degree
-    b-grid (180 x 91 = 16,380 nodes), less per state in a batch. Each
-    step is also the first compass-search step of its polish. The grid of
-    a step is built on first use and cached (for the last four steps of
-    each path), so changing a step costs one rebuild.
-    """
-
-    b_grid_step: float = 0.035
-    oracle_angle_step: float = 0.087
-
-    def __post_init__(self):
-        for name in ("b_grid_step", "oracle_angle_step"):
-            step = getattr(self, name)
-            if not 0.0 < step <= math.pi / 2.0:
-                raise ValueError(f"{name} = {step} outside (0, pi/2]")
+#: Grid steps in radians, each also the first compass-search step of its
+#: polish. The fast path's 2 degree b-grid has 180 x 91 = 16,380 nodes and
+#: costs a few milliseconds per state, less per state in a batch. The
+#: oracle's 5 degree grid has 73 x 37 = 2,701 nodes per sphere, so 7,295,401
+#: objective evaluations, which keeps it under ~2 s per state.
+_B_GRID_STEP = 0.035
+_ORACLE_STEP = 0.087
 
 
 @dataclass(frozen=True)
@@ -105,26 +90,27 @@ def _grid_angles(step: float) -> np.ndarray:
     return angles
 
 
-@functools.lru_cache(maxsize=4)
-def _direction_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """All unit vectors of the (azimuth, polar) product grid, and their angle pairs.
+@functools.cache
+def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
+    """All unit vectors of the oracle's (azimuth, polar) product grid, and their angle pairs.
 
-    Built once per step and shared read-only.
+    Built on first use and shared read-only.
     """
-    angles = _grid_angles(step)
+    angles = _grid_angles(_ORACLE_STEP)
     bs = sphere_direction(angles[:, 0], angles[:, 1])
     bs.setflags(write=False)
     return bs, angles
 
 
-@functools.lru_cache(maxsize=4)
-def _grid_monomials(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's angle pairs and the direction_monomials of its directions, read-only.
+@functools.cache
+def _grid_monomials() -> tuple[np.ndarray, np.ndarray]:
+    """The b-grid's angle pairs and the direction_monomials of its directions, read-only.
 
-    The monomials are one contiguous (9, m) array. The fast path needs no
-    direction vectors beside them, so unlike _direction_grid none are kept.
+    Built on first use. The monomials are one contiguous (9, m) array. The
+    fast path needs no direction vectors beside them, so unlike
+    _direction_grid none are kept.
     """
-    angles = _grid_angles(step)
+    angles = _grid_angles(_B_GRID_STEP)
     mono = direction_monomials(sphere_direction(angles[:, 0], angles[:, 1]))
     mono.setflags(write=False)
     return angles, mono
@@ -162,7 +148,7 @@ def _refine(fun, start: np.ndarray, step: float) -> np.ndarray:
     return x
 
 
-def _maximize_many(corrs: list[CorrelationData], cfg: SolverConfig) -> list[tuple]:
+def _maximize_many(corrs: list[CorrelationData]) -> list[tuple]:
     """maximize_objective for each of ``corrs``, as one batch.
 
     Each state's grid is evaluated on its own, through the cached grid
@@ -171,8 +157,7 @@ def _maximize_many(corrs: list[CorrelationData], cfg: SolverConfig) -> list[tupl
     """
     if not corrs:
         return []
-    step = cfg.b_grid_step
-    angles, mono = _grid_monomials(step)
+    angles, mono = _grid_monomials()
     coefs = np.stack([reduction_coefficients(c) for c in corrs])
     p = np.array([c.x @ c.x for c in corrs])
     start = angles[[int(np.argmax(reduced_over_a_monomials(c, pk, mono))) for c, pk in zip(coefs, p)]]
@@ -182,33 +167,33 @@ def _maximize_many(corrs: list[CorrelationData], cfg: SolverConfig) -> list[tupl
         return reduced_over_a_monomials(coefs, p[:, None], mono)
 
     out = []
-    for corr, (azimuth, polar) in zip(corrs, _refine(stencil, start, step)):
+    for corr, (azimuth, polar) in zip(corrs, _refine(stencil, start, _B_GRID_STEP)):
         b_star = sphere_direction(azimuth, polar)
         f_max, a_star = reduced_over_a(corr, b_star)
         out.append((f_max, _orient(a_star), _orient(b_star)))
     return out
 
 
-def maximize_objective(corr: CorrelationData, cfg: SolverConfig | None = None):
+def maximize_objective(corr: CorrelationData):
     """Maximize f over both directions via the exact a-reduction.
 
-    Returns (f_max, a_star, b_star). The b-sphere is gridded at
-    cfg.b_grid_step, the best node is polished by a compass search on the
-    two b-angles starting at the grid step, and a_star is the exact top
-    eigenvector at the final b. A batch of one through the batched solve.
+    Returns (f_max, a_star, b_star). The b-sphere is gridded at a 2 degree
+    step, the best node is polished by a compass search on the two b-angles
+    starting at the grid step, and a_star is the exact top eigenvector at
+    the final b. A batch of one through the batched solve.
     """
-    return _maximize_many([corr], cfg or SolverConfig())[0]
+    return _maximize_many([corr])[0]
 
 
-def _oracle_search(corr: CorrelationData, cfg: SolverConfig):
+def _oracle_search(corr: CorrelationData):
     """4-angle grid search plus one compass-search polish of f itself.
 
-    Both spheres are gridded at cfg.oracle_angle_step and f is evaluated at
-    every (a, b) pair; the best pair is polished over all four angles. No
-    step uses the analytic a-reduction.
+    Both spheres are gridded at a 5 degree step and f is evaluated at every
+    (a, b) pair; the best pair is polished over all four angles. No step
+    uses the analytic a-reduction.
     """
-    bs, b_angles = _direction_grid(cfg.oracle_angle_step)
-    as_, a_angles = _direction_grid(cfg.oracle_angle_step)
+    bs, b_angles = _direction_grid()
+    as_, a_angles = _direction_grid()
 
     f = as_ @ (corr.T @ bs.T)
     np.square(f, out=f)
@@ -223,15 +208,15 @@ def _oracle_search(corr: CorrelationData, cfg: SolverConfig):
         return objective_rows(corr, a, b)
 
     start = np.concatenate([b_angles[ib], a_angles[ia]])
-    angles = _refine(stencil, start[None], cfg.oracle_angle_step)[0]
+    angles = _refine(stencil, start[None], _ORACLE_STEP)[0]
     a_star = sphere_direction(angles[2], angles[3])
     b_star = sphere_direction(angles[0], angles[1])
     return objective_f(corr, (a_star, b_star)), _orient(a_star), _orient(b_star)
 
 
-def brute_force_oracle(corr: CorrelationData, cfg: SolverConfig | None = None) -> float:
-    """Independent check: exhaustive 4-angle grid at cfg.oracle_angle_step, then a polish of f."""
-    return _oracle_search(corr, cfg or SolverConfig())[0]
+def brute_force_oracle(corr: CorrelationData) -> float:
+    """Independent check: exhaustive 4-angle grid at a 5 degree step, then a polish of f."""
+    return _oracle_search(corr)[0]
 
 
 def xstate_candidates(corr: CorrelationData) -> list[MeasurementDirections]:
@@ -254,32 +239,31 @@ def _xstate_search(corr: CorrelationData):
     return values[k], pairs[k].a, pairs[k].b
 
 
-def ggqd_many(states, cfg: SolverConfig | None = None, method: str = "fast") -> list[GgqdResult]:
+def ggqd_many(states, method: str = "fast") -> list[GgqdResult]:
     """Geometric global quantum discord of each state, solved as one batch.
 
     Each state is a DensityMatrix, a bare 4x4 array (validated as in
     pauli_decompose) or its CorrelationData. Result k is bit for bit
-    ``ggqd(states[k], cfg, method)``. The fast path (also under ``both``)
+    ``ggqd(states[k], method)``. The fast path (also under ``both``)
     evaluates each state's b-grid on its own and polishes all states in
     lockstep; ``oracle``, ``xstate`` and the oracle half of ``both`` run
     state by state. See :func:`ggqd` for the methods.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'; expected one of {_METHODS}")
-    cfg = cfg or SolverConfig()
     corrs = [s if isinstance(s, CorrelationData) else pauli_decompose(s) for s in states]
 
     if method == "xstate":
         solved, name = [_xstate_search(c) for c in corrs], "xstate_candidates"
     elif method == "oracle":
-        solved, name = [_oracle_search(c, cfg) for c in corrs], "oracle"
+        solved, name = [_oracle_search(c) for c in corrs], "oracle"
     else:
-        solved, name = _maximize_many(corrs, cfg), "fast"
+        solved, name = _maximize_many(corrs), "fast"
 
     results = []
     for corr, (f_max, a_star, b_star) in zip(corrs, solved):
         tcc = trace_cc(corr)
-        gap = abs(f_max - brute_force_oracle(corr, cfg)) if method == "both" else None
+        gap = abs(f_max - brute_force_oracle(corr)) if method == "both" else None
         results.append(
             GgqdResult(
                 ggqd=tcc - 0.25 * f_max,
@@ -294,11 +278,11 @@ def ggqd_many(states, cfg: SolverConfig | None = None, method: str = "fast") -> 
     return results
 
 
-def ggqd(rho, cfg: SolverConfig | None = None, method: str = "fast") -> GgqdResult:
+def ggqd(rho, method: str = "fast") -> GgqdResult:
     """Geometric global quantum discord of a two-qubit state.
 
     ``rho`` is a DensityMatrix, a bare 4x4 array or its CorrelationData;
-    the call is ``ggqd_many([rho], cfg, method)[0]``, a batch of one.
+    the call is ``ggqd_many([rho], method)[0]``, a batch of one.
 
     method:
       fast    exact a-reduction over a cached b-grid with compass-search polish
@@ -308,4 +292,4 @@ def ggqd(rho, cfg: SolverConfig | None = None, method: str = "fast") -> GgqdResu
               otherwise)
       both    fast, cross-checked against the oracle (fills oracle_gap)
     """
-    return ggqd_many([rho], cfg, method)[0]
+    return ggqd_many([rho], method)[0]

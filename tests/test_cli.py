@@ -137,12 +137,12 @@ def test_compute_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
     import ggqd.solver as solver_mod
 
     real_oracle = solver_mod.brute_force_oracle
-    monkeypatch.setattr(solver_mod, "brute_force_oracle", lambda corr, cfg=None: real_oracle(corr, cfg) + 0.5)
+    monkeypatch.setattr(solver_mod, "brute_force_oracle", lambda corr: real_oracle(corr) + 0.5)
     path = write_mixed(tmp_path)
-    code, out = run_cli(["compute", path, "--method", "both", "--oracle-step", "0.3", "--json"], capsys)
+    code, out = run_cli(["compute", path, "--method", "both", "--json"], capsys)
     assert code == 5
     assert abs(json.loads(out)["oracle_gap"] - 0.5) <= 1e-9  # the report is still printed
-    code, out = run_cli(["compute", path, "--method", "both", "--oracle-step", "0.3"], capsys)
+    code, out = run_cli(["compute", path, "--method", "both"], capsys)
     assert code == 5
     assert "oracle_gap = 0.5" in out
 
@@ -168,12 +168,33 @@ def test_non_finite_state_file_is_parse_error(tmp_path, capsys, command, literal
     assert "error: cannot parse input" in err
 
 
-def test_compute_config_flags(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["validate", "compute", "oracle"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"\xff\xfe" + state_to_json(validate_density(np.eye(4) / 4)).encode("utf-16-le"), id="utf-16"),
+        pytest.param(b'{"matrix": "\xe9"}', id="latin-1"),
+        pytest.param(b"[" * 1000 + b"]" * 1000, id="nested-1000"),
+        pytest.param(b'{"matrix": ' + b"[" * 1000 + b"]" * 1000 + b"}", id="nested-1000-in-matrix"),
+    ],
+)
+def test_undecodable_or_deep_state_file_is_parse_error(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: cannot parse input" in err
+
+
+def test_grid_step_flags_are_usage_errors(tmp_path, capsys):
+    # the grid steps are constants: no flag sets them
     path = write_mixed(tmp_path)
-    code, _ = run_cli(["compute", path, "--b-grid-step", "0.1"], capsys)
-    assert code == 0
-    code, _ = run_cli(["compute", path, "--b-grid-step", "9.0"], capsys)
-    assert code == 2  # outside (0, pi/2]
+    sweep = ["sweep", "werner", "p", "--from", "0", "--to", "1", "--step", "0.5", "-o", str(tmp_path / "x.csv")]
+    for args in (["compute", path], sweep, ["oracle", path]):
+        for flag in ("--b-grid-step", "--oracle-step"):
+            assert main(args + [flag, "0.1"]) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_validate_bell_half(tmp_path, capsys):
@@ -267,13 +288,13 @@ def test_sweep_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
 
     real_oracle = solver_mod.brute_force_oracle
 
-    def skewed(corr, cfg=None):
-        return real_oracle(corr, cfg) + (0.5 if corr.T[2, 2] >= 0.4 else 0.0)
+    def skewed(corr):
+        return real_oracle(corr) + (0.5 if corr.T[2, 2] >= 0.4 else 0.0)
 
     monkeypatch.setattr(solver_mod, "brute_force_oracle", skewed)
     out_csv = tmp_path / "both.csv"
     code = main(["sweep", "bell-mixture", "c3", "--from", "0", "--to", "1", "--step", "0.5",
-                 "--method", "both", "--allow-nonphysical", "--oracle-step", "0.3", "-o", str(out_csv)])
+                 "--method", "both", "--allow-nonphysical", "-o", str(out_csv)])
     err = capsys.readouterr().err
     assert code == 5
     assert "c3 = 0.5" in err and "c3 = 1" not in err
@@ -281,7 +302,7 @@ def test_sweep_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(solver_mod, "brute_force_oracle", real_oracle)
     code = main(["sweep", "bell-mixture", "c3", "--from", "0", "--to", "1", "--step", "0.5",
-                 "--method", "both", "--allow-nonphysical", "--oracle-step", "0.3", "-o", str(out_csv)])
+                 "--method", "both", "--allow-nonphysical", "-o", str(out_csv)])
     assert code == 0
 
 
@@ -355,7 +376,7 @@ def test_oracle_gap_exit_code(tmp_path, capsys, monkeypatch):
     # exit 5 is reserved for disagreement above 1e-3; force one
     import ggqd.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "brute_force_oracle", lambda corr, cfg: 0.5)
+    monkeypatch.setattr(cli_mod, "brute_force_oracle", lambda corr: 0.5)
     code, out = run_cli(["oracle", write_mixed(tmp_path), "--json"], capsys)
     assert code == 5
     assert json.loads(out)["gap"] == 0.5

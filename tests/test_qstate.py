@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import haar_unitary, random_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggqd import (
     DensityMatrix,
@@ -22,7 +26,7 @@ from ggqd import (
     swap_subsystems,
     validate_density,
 )
-from ggqd.qstate import PAULIS
+from ggqd.qstate import PAULIS, parse_state_matrix
 
 
 def bell_mixture_matrix(c3):
@@ -297,3 +301,27 @@ def test_family_spec_normalizes_names():
     assert spec.family == "bell_mixture"
     assert spec.parameters == {"c3": 0.0}
     assert generate_state(spec).physical_flag
+
+
+_number = st.integers() | st.floats()
+_json_value = st.recursive(
+    st.none() | st.booleans() | _number | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+)
+# 4 x 4 lists of number pairs, so the accepting path is reached too
+_matrix = st.lists(st.lists(st.lists(_number, min_size=2, max_size=2), min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    text=st.text()
+    | _json_value.map(json.dumps)
+    | st.fixed_dictionaries({"matrix": _matrix | _json_value}).map(json.dumps)
+)
+def test_property_parser_accepts_or_raises_state_format_error(text):
+    try:
+        m = parse_state_matrix(text)
+    except StateFormatError:
+        return
+    assert m.shape == (4, 4) and m.dtype == complex
+    assert np.isfinite(m).all()

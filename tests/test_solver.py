@@ -12,7 +12,6 @@ import ggqd as ggqd_pkg
 from ggqd import (
     CorrelationData,
     NotCanonicalFormError,
-    SolverConfig,
     StateFamilySpec,
     TraceNotOneError,
     brute_force_oracle,
@@ -24,6 +23,7 @@ from ggqd import (
     objective_f,
     pauli_decompose,
     reconstruct_density,
+    sphere_direction,
     swap_subsystems,
     trace_cc,
     validate_density,
@@ -67,27 +67,6 @@ def contains_direction(pairs, a, b, tol=1e-9):
     return any(
         np.abs(d.a - a).max() <= tol and np.abs(d.b - b).max() <= tol for d in pairs
     )
-
-
-def test_config_defaults():
-    cfg = SolverConfig()
-    assert cfg.b_grid_step == 0.035
-    assert cfg.oracle_angle_step == 0.087
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"b_grid_step": 0.0},
-        {"b_grid_step": 2.0},
-        {"oracle_angle_step": -0.1},
-        {"oracle_angle_step": 0.0},
-        {"oracle_angle_step": 2.0},
-    ],
-)
-def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        SolverConfig(**kwargs)
 
 
 @pytest.mark.parametrize("c3,f_want", [(1.0, 2.0), (0.5, 2.0), (-0.3, 2.0), (0.0, 2.0)])
@@ -344,14 +323,6 @@ def test_bell_sweep_unified_formula():
         assert abs(ggqd(rho).ggqd - closed_form_bell(c3)) <= 1e-6
 
 
-def test_custom_config_round_trip():
-    cfg = SolverConfig(b_grid_step=0.08, oracle_angle_step=0.15)
-    corr = bell_corr(0.5)
-    f, _, _ = maximize_objective(corr, cfg)
-    assert abs(f - 2.0) <= 1e-6
-    assert abs(brute_force_oracle(corr, cfg) - 2.0) <= 5e-3
-
-
 def test_ggqd_rejects_bare_array_with_wrong_trace():
     with pytest.raises(TraceNotOneError):
         ggqd(np.ones((4, 4)))
@@ -450,9 +421,8 @@ def test_maximize_many_matches_single_solves():
         pauli_decompose(generate_state(StateFamilySpec("werner", {"p": p})))
         for p in np.linspace(0.0, 1.0, 101)
     ]
-    cfg = SolverConfig()
-    for batched, corr in zip(_maximize_many(corrs, cfg), corrs):
-        f_max, a_star, b_star = maximize_objective(corr, cfg)
+    for batched, corr in zip(_maximize_many(corrs), corrs):
+        f_max, a_star, b_star = maximize_objective(corr)
         assert batched[0] == f_max
         assert np.array_equal(batched[1], a_star) and np.array_equal(batched[2], b_star)
 
@@ -484,12 +454,13 @@ def test_ggqd_many_inputs():
 
 
 def test_grid_caches_are_read_only():
-    bs, b_angles = _direction_grid(0.035)
-    angles, mono = _grid_monomials(0.035)
-    assert _direction_grid(0.035)[0] is bs and _grid_monomials(0.035)[1] is mono
-    assert np.array_equal(angles, b_angles)
-    assert mono.shape == (9, len(bs)) and mono.flags.c_contiguous
-    assert np.array_equal(mono[6:], bs.T)
+    bs, b_angles = _direction_grid()
+    angles, mono = _grid_monomials()
+    assert _direction_grid()[0] is bs and _grid_monomials()[1] is mono
+    assert len(angles) == 16380 and len(bs) == 2701
+    assert np.array_equal(bs, sphere_direction(b_angles[:, 0], b_angles[:, 1]))
+    assert mono.shape == (9, len(angles)) and mono.flags.c_contiguous
+    assert np.array_equal(mono[6:], sphere_direction(angles[:, 0], angles[:, 1]).T)
     for arr in (bs, b_angles, angles, mono):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
