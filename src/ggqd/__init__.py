@@ -12,7 +12,6 @@ from .errors import (
     GgqdError,
     NonHermitianError,
     NonUnitDirectionError,
-    NotCanonicalFormError,
     NotPositiveError,
     NotUnitaryError,
     ParameterOutOfRangeError,
@@ -55,7 +54,6 @@ from .solver import (
     ggqd,
     ggqd_many,
     maximize_objective,
-    xstate_candidates,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +67,6 @@ __all__ = [
     "MeasurementDirections",
     "NonHermitianError",
     "NonUnitDirectionError",
-    "NotCanonicalFormError",
     "NotPositiveError",
     "NotUnitaryError",
     "PAULIS",
@@ -99,5 +96,4 @@ __all__ = [
     "swap_subsystems",
     "trace_cc",
     "validate_density",
-    "xstate_candidates",
 ]

@@ -31,8 +31,7 @@ from .qstate import (
     read_state_matrix,
     save_state,
 )
-from .objective import require_xstate_pattern
-from .solver import brute_force_oracle, ggqd, ggqd_many, maximize_objective
+from .solver import _METHODS, brute_force_oracle, ggqd, ggqd_many, maximize_objective
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -57,6 +56,9 @@ class SweepSpec:
     output_path: str
 
     def __post_init__(self):
+        for flag, value in (("--from", self.start), ("--to", self.stop), ("--step", self.step)):
+            if not math.isfinite(value):
+                raise ParameterOutOfRangeError(f"sweep {flag} {value} must be finite")
         if self.step <= 0.0:
             raise ParameterOutOfRangeError(f"sweep step {self.step} must be positive")
         if self.start > self.stop:
@@ -141,13 +143,10 @@ def _cmd_sweep(args) -> int:
                 StateFamilySpec(spec.family, {spec.param_name: value}),
                 allow_nonphysical=args.allow_nonphysical,
             )
-            corr = pauli_decompose(state)
-            if spec.method == "xstate":
-                require_xstate_pattern(corr)
         except GgqdError as exc:
             print(f"error: {spec.param_name} = {_fmt(value)}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        corrs.append(corr)
+        corrs.append(pauli_decompose(state))
 
     lines = [CSV_HEADER]
     first_gap = None
@@ -261,7 +260,10 @@ def _cmd_gen(args) -> int:
             raise ParameterOutOfRangeError(f"invalid numeric value for '{name}': '{raw}'") from None
     if seed is None:
         env = os.environ.get("GGQD_SEED")
-        seed = int(env) if env else 0
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            raise ParameterOutOfRangeError(f"GGQD_SEED must be an integer, got '{env}'") from None
     state = generate_state(
         StateFamilySpec(args.family, params, seed=seed),
         allow_nonphysical=args.allow_nonphysical,
@@ -285,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser("compute", help="compute GGQD of a state file")
     compute.add_argument("input", help="state file (JSON)")
-    compute.add_argument("--method", choices=["fast", "oracle", "xstate", "both"], default="fast",
+    compute.add_argument("--method", choices=_METHODS, default="fast",
                          help="'both' also runs the oracle and exits 5 if the gap is above 1e-3")
     compute.add_argument("--allow-nonphysical", action="store_true",
                          help="accept states that fail positivity")
@@ -299,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--step", type=float, required=True)
     sweep.add_argument("-o", "--output", required=True, help="output CSV path")
-    sweep.add_argument("--method", choices=["fast", "oracle", "xstate", "both"], default="fast",
+    sweep.add_argument("--method", choices=_METHODS, default="fast",
                        help="'both' also runs the oracle and exits 5 if any point's gap is above 1e-3")
     sweep.add_argument("--allow-nonphysical", action="store_true")
     sweep.set_defaults(handler=_cmd_sweep)
@@ -342,7 +344,7 @@ def main(argv=None) -> int:
     except GgqdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:  # non-finite generated entries, a non-integer GGQD_SEED
+    except ValueError as exc:  # raised outside GgqdError, e.g. by NumPy for a negative seed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # unreadable input; write failures return 4 in-handler

@@ -37,10 +37,6 @@ class NonUnitDirectionError(GgqdError):
     """Measurement direction is not a unit vector within tolerance."""
 
 
-class NotCanonicalFormError(GgqdError):
-    """Correlation data violates the canonical zero pattern beyond tolerance."""
-
-
 class StateFormatError(ValueError):
     """State file content does not match the JSON schema.
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitDirectionError, NotCanonicalFormError
+from .errors import NonUnitDirectionError
 from .pauli import CorrelationData
 
 UNIT_TOL = 1e-12
-CANONICAL_TOL = 1e-10
 
 
 def sphere_direction(azimuth, polar) -> np.ndarray:
@@ -83,45 +82,6 @@ def objective_f(corr: CorrelationData, dirs) -> float:
         a = _unit(a, "a")
         b = _unit(b, "b")
     return float(objective_rows(corr, a, b))
-
-
-def canonical_deviation(corr: CorrelationData) -> float:
-    """Largest entry that the canonical zero pattern requires to vanish.
-
-    The pattern is x2 = y2 = 0 and T12 = T21 = T23 = T32 = 0 (1-indexed
-    Bloch components), i.e. the middle row and column of T are zero off the
-    diagonal and the middle Bloch components vanish.
-    """
-    t = corr.T
-    return float(
-        max(abs(corr.x[1]), abs(corr.y[1]), abs(t[0, 1]), abs(t[1, 0]), abs(t[1, 2]), abs(t[2, 1]))
-    )
-
-
-def require_canonical(corr: CorrelationData, tol: float = CANONICAL_TOL) -> None:
-    dev = canonical_deviation(corr)
-    if dev > tol:
-        raise NotCanonicalFormError(f"canonical zero pattern violated by {dev:.3e} (tolerance {tol:.0e})")
-
-
-def require_xstate_pattern(corr: CorrelationData, tol: float = CANONICAL_TOL) -> None:
-    """Canonical data on the X pattern or the zero-y pattern, else NotCanonicalFormError.
-
-    On top of the canonical zero pattern, the X pattern needs
-    x1 = y1 = T13 = T31 = 0 (T diagonal, x and y along e3) and the zero-y
-    pattern needs y = 0 and T11 = T31 = 0 (the first column of T zero). On
-    these two the best of b = e1, e2, e3 is the global maximum of f.
-    """
-    require_canonical(corr, tol)
-    t = corr.T
-    x_dev = float(max(abs(corr.x[0]), abs(corr.y[0]), abs(t[0, 2]), abs(t[2, 0])))
-    zero_y_dev = float(max(np.abs(corr.y).max(), abs(t[0, 0]), abs(t[2, 0])))
-    if min(x_dev, zero_y_dev) > tol:
-        raise NotCanonicalFormError(
-            "xstate is exact only on the X pattern (x1 = y1 = T13 = T31 = 0), violated by "
-            f"{x_dev:.3e}, or the zero-y pattern (y = 0, T11 = T31 = 0), violated by "
-            f"{zero_y_dev:.3e} (tolerance {tol:.0e})"
-        )
 
 
 def rank2_lambda_max(u, v) -> tuple[float, np.ndarray]:

@@ -13,6 +13,7 @@ Conventions
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,8 @@ def _params_with_defaults(spec: StateFamilySpec, defaults: dict) -> dict:
     for key, value in spec.parameters.items():
         if key not in out:
             raise ParameterOutOfRangeError(f"unknown parameter '{key}' for family '{spec.family}'")
+        if not math.isfinite(value):
+            raise ParameterOutOfRangeError(f"{spec.family} parameter {key} = {value} is not finite")
         out[key] = value
     return out
 

@@ -8,7 +8,9 @@ one small matrix product against the monomials, and the polishes of all
 states run in lockstep; one state is a batch of one. The brute force
 oracle searches all four angles on a grid with one compass-search polish
 and evaluates f directly, never touching the analytic reduction, so the two
-routes are independent.
+routes are independent. On X states (T diagonal, x and y along e3) the fast
+path meets the paper's closed form
+f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
 
 GGQD(rho) = trace_cc(corr) - f_max / 4.
 """
@@ -23,19 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import (
-    MeasurementDirections,
     direction_monomials,
     objective_f,
     objective_rows,
     reduced_over_a,
     reduced_over_a_monomials,
     reduction_coefficients,
-    require_xstate_pattern,
     sphere_direction,
 )
 from .pauli import CorrelationData, pauli_decompose, trace_cc
 
-_METHODS = ("fast", "oracle", "xstate", "both")
+_METHODS = ("fast", "oracle", "both")
 
 #: The compass search stops once the centre wins at an angle step this small,
 #: or after this many iterations (it needs at most ~75 on either path).
@@ -219,26 +219,6 @@ def brute_force_oracle(corr: CorrelationData) -> float:
     return _oracle_search(corr)[0]
 
 
-def xstate_candidates(corr: CorrelationData) -> list[MeasurementDirections]:
-    """Each axis b = e1, e2, e3 with its exact maximizing a.
-
-    f is even in b, so -b adds nothing. The best candidate is the global
-    maximum on the X pattern (T diagonal, x and y along e3) and on the
-    zero-y pattern (y = 0, x in the 1-3 plane, T supported on (1,3), (2,2),
-    (3,3)); any other data raises NotCanonicalFormError, naming how far it
-    is from each pattern.
-    """
-    require_xstate_pattern(corr)
-    return [MeasurementDirections(a=_orient(reduced_over_a(corr, b)[1]), b=b) for b in np.eye(3)]
-
-
-def _xstate_search(corr: CorrelationData):
-    pairs = xstate_candidates(corr)
-    values = [objective_f(corr, d) for d in pairs]
-    k = int(np.argmax(values))
-    return values[k], pairs[k].a, pairs[k].b
-
-
 def ggqd_many(states, method: str = "fast") -> list[GgqdResult]:
     """Geometric global quantum discord of each state, solved as one batch.
 
@@ -246,16 +226,14 @@ def ggqd_many(states, method: str = "fast") -> list[GgqdResult]:
     pauli_decompose) or its CorrelationData. Result k is bit for bit
     ``ggqd(states[k], method)``. The fast path (also under ``both``)
     evaluates each state's b-grid on its own and polishes all states in
-    lockstep; ``oracle``, ``xstate`` and the oracle half of ``both`` run
-    state by state. See :func:`ggqd` for the methods.
+    lockstep; ``oracle`` and the oracle half of ``both`` run state by
+    state. See :func:`ggqd` for the methods.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'; expected one of {_METHODS}")
     corrs = [s if isinstance(s, CorrelationData) else pauli_decompose(s) for s in states]
 
-    if method == "xstate":
-        solved, name = [_xstate_search(c) for c in corrs], "xstate_candidates"
-    elif method == "oracle":
+    if method == "oracle":
         solved, name = [_oracle_search(c) for c in corrs], "oracle"
     else:
         solved, name = _maximize_many(corrs), "fast"
@@ -287,9 +265,6 @@ def ggqd(rho, method: str = "fast") -> GgqdResult:
     method:
       fast    exact a-reduction over a cached b-grid with compass-search polish
       oracle  4-angle brute force with compass-search polish only
-      xstate  best of the exact a-reduction at b = e1, e2, e3 (only on the X
-              and zero-y patterns, where it is exact; NotCanonicalFormError
-              otherwise)
       both    fast, cross-checked against the oracle (fills oracle_gap)
     """
     return ggqd_many([rho], method)[0]

@@ -1,16 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ggqd import (
-    CorrelationData,
     StateFamilySpec,
     generate_state,
     ggqd,
-    reconstruct_density,
     save_state,
     state_to_json,
     validate_density,
@@ -96,9 +95,6 @@ def test_compute_methods(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["oracle_gap"] is not None and report["oracle_gap"] <= 1e-3
-    code, out = run_cli(["compute", path, "--allow-nonphysical", "--method", "xstate", "--json"], capsys)
-    assert code == 0
-    assert json.loads(out)["method"] == "xstate_candidates"
     code, out = run_cli(["compute", path, "--allow-nonphysical", "--method", "oracle", "--json"], capsys)
     assert code == 0
     report = json.loads(out)
@@ -111,25 +107,11 @@ def test_compute_xstate_classical_x_state(tmp_path, capsys):
     path = str(tmp_path / "x.json")
     code = main(["gen", "x-state", "rho03=0.2", "rho12=0.2", "-o", path])
     assert code == 0
-    code, out = run_cli(["compute", path, "--method", "xstate", "--json"], capsys)
+    code, out = run_cli(["compute", path, "--json"], capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["ggqd"] == 0.0
-    assert report["method"] == "xstate_candidates"
-
-
-def test_compute_xstate_rejects_data_off_both_patterns(tmp_path, capsys):
-    # canonical, but T13 != 0 rules out the X pattern and y != 0 the zero-y one
-    t = np.diag([0.5, 0.2, 0.6])
-    t[0, 2] = 0.4
-    corr = CorrelationData(x=np.array([0.0, 0.0, 0.2]), y=np.array([0.0, 0.0, 0.1]), T=t)
-    path = tmp_path / "canonical.json"
-    save_state(path, reconstruct_density(corr))
-    code = main(["compute", str(path), "--allow-nonphysical", "--method", "xstate"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "X pattern" in captured.err and "zero-y pattern" in captured.err
-    assert captured.out == ""
+    assert abs(report["ggqd"]) <= 1e-12
+    assert report["method"] == "fast"
 
 
 def test_compute_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
@@ -195,6 +177,17 @@ def test_grid_step_flags_are_usage_errors(tmp_path, capsys):
         for flag in ("--b-grid-step", "--oracle-step"):
             assert main(args + [flag, "0.1"]) == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_method_xstate_is_usage_error(tmp_path, capsys):
+    path = write_mixed(tmp_path)
+    sweep = ["sweep", "werner", "p", "--from", "0", "--to", "1", "--step", "0.5", "-o", str(tmp_path / "x.csv")]
+    for args in (["compute", path], sweep):
+        assert main(args + ["--method", "xstate"]) == 2
+        assert "invalid choice: 'xstate'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    with pytest.raises(ValueError, match="unknown method 'xstate'"):
+        ggqd(validate_density(np.eye(4) / 4), method="xstate")
 
 
 def test_validate_bell_half(tmp_path, capsys):
@@ -316,17 +309,6 @@ def test_sweep_names_invalid_point(tmp_path, capsys):
     assert not out_csv.exists()
 
 
-def test_sweep_xstate_names_point_off_patterns(tmp_path, capsys):
-    # |0> x |b(theta_b)>: on the X pattern at theta_b = 0 only
-    out_csv = tmp_path / "xstate.csv"
-    code = main(["sweep", "pure-product", "theta_b", "--from", "0", "--to", "1", "--step", "0.5",
-                 "--method", "xstate", "-o", str(out_csv)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "theta_b = 0.5:" in err and "X pattern" in err
-    assert not out_csv.exists()
-
-
 @pytest.mark.parametrize(
     "family,param,start,stop,step,flags",
     [
@@ -347,6 +329,20 @@ def test_sweep_csv_matches_per_state_ggqd(tmp_path, capsys, family, param, start
         cells = [value, res.ggqd, res.f_max, *res.a_star, *res.b_star, res.trace_cc]
         want.append(",".join([_fmt(c) for c in cells] + [res.method]))
     assert out_csv.read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--step", "inf"), ("--step", "nan"), ("--from", "nan")],
+)
+def test_sweep_rejects_non_finite_flag(tmp_path, capsys, flag, value):
+    args = {"--from": "0", "--to": "1", "--step": "0.5", flag: value}
+    out_csv = tmp_path / "x.csv"
+    code = main(["sweep", "werner", "p", *(t for kv in args.items() for t in kv), "-o", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"sweep {flag} {value} must be finite" in err
+    assert not out_csv.exists()
 
 
 def test_sweep_unwritable_output(capsys):
@@ -424,7 +420,7 @@ def test_gen_random_deterministic(tmp_path, capsys):
     assert run_cli(["gen", "random", "seed=7", "-o", f1], capsys)[0] == 0
     assert run_cli(["gen", "random", "--seed", "7", "-o", f2], capsys)[0] == 0
     assert run_cli(["gen", "random", "seed=8", "-o", f3], capsys)[0] == 0
-    b1, b2, b3 = (open(f, "rb").read() for f in (f1, f2, f3))
+    b1, b2, b3 = (Path(f).read_bytes() for f in (f1, f2, f3))
     assert b1 == b2
     assert b1 != b3
 
@@ -435,7 +431,14 @@ def test_gen_seed_from_environment(tmp_path, capsys, monkeypatch):
     assert run_cli(["gen", "random", "-o", f1], capsys)[0] == 0
     monkeypatch.delenv("GGQD_SEED")
     assert run_cli(["gen", "random", "--seed", "7", "-o", f2], capsys)[0] == 0
-    assert open(f1, "rb").read() == open(f2, "rb").read()
+    assert Path(f1).read_bytes() == Path(f2).read_bytes()
+
+
+def test_gen_seed_from_environment_must_be_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GGQD_SEED", "abc")
+    code = main(["gen", "random", "-o", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "GGQD_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_gen_param_errors(tmp_path, capsys):
@@ -448,6 +451,25 @@ def test_gen_param_errors(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(["gen", "nosuch", "-o", out_file], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "family,param",
+    [
+        ("classical-classical", "p00=nan"),
+        ("x-state", "rho03=nan"),
+        ("pure-product", "theta_a=inf"),
+        ("werner", "p=nan"),
+    ],
+)
+def test_gen_rejects_non_finite_parameter(tmp_path, capsys, family, param):
+    name, _, value = param.partition("=")
+    out_file = tmp_path / "x.json"
+    code = main(["gen", family, param, "-o", str(out_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"parameter {name} = {value} is not finite" in err
+    assert not out_file.exists()
 
 
 def test_gen_unwritable_output(capsys):

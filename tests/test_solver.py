@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import ggqd as ggqd_pkg
 from ggqd import (
     CorrelationData,
-    NotCanonicalFormError,
     StateFamilySpec,
     TraceNotOneError,
     brute_force_oracle,
@@ -23,17 +22,13 @@ from ggqd import (
     objective_f,
     pauli_decompose,
     reconstruct_density,
+    reduced_over_a,
     sphere_direction,
     swap_subsystems,
     trace_cc,
     validate_density,
-    xstate_candidates,
 )
 from ggqd.solver import _direction_grid, _grid_monomials, _maximize_many, _refine
-
-E2 = np.array([0.0, 1.0, 0.0])
-E3 = np.array([0.0, 0.0, 1.0])
-
 
 def bell_corr(c3):
     rho = generate_state(StateFamilySpec("bell_mixture", {"c3": c3}), allow_nonphysical=True)
@@ -61,12 +56,6 @@ def x_pattern_f_max(corr):
     """Closed form on the X pattern (T diagonal, x and y along e3)."""
     t = np.diagonal(corr.T)
     return 1.0 + max(corr.x[2] ** 2 + corr.y[2] ** 2 + t[2] ** 2, t[0] ** 2, t[1] ** 2)
-
-
-def contains_direction(pairs, a, b, tol=1e-9):
-    return any(
-        np.abs(d.a - a).max() <= tol and np.abs(d.b - b).max() <= tol for d in pairs
-    )
 
 
 @pytest.mark.parametrize("c3,f_want", [(1.0, 2.0), (0.5, 2.0), (-0.3, 2.0), (0.0, 2.0)])
@@ -105,51 +94,12 @@ def test_oracle_mixed_exact():
     assert brute_force_oracle(pauli_decompose(mixed_state())) == 1.0
 
 
-def test_xstate_candidates_bell():
-    c3 = 0.5
-    corr = bell_corr(c3)
-    pairs = xstate_candidates(corr)
-    assert contains_direction(pairs, E3, E3)
-    assert contains_direction(pairs, E2, E2)
-    values = sorted(objective_f(corr, d) for d in pairs)
-    assert abs(values[-1] - 2.0) <= 1e-12                # b along e2 branch
-    assert any(abs(v - (1 + c3 * c3)) <= 1e-12 for v in values)  # b along e3 branch
-
-
 def test_xstate_candidates_degenerate_denominator():
-    # x3^2 + T33^2 - x1^2 - T13^2 = 0 selects the pi/4 stationary angles
+    # x3^2 + T33^2 = x1^2 + T13^2 and T = 0: f = 1 + (x.a)^2 for every b, maximal at a = x / |x|
     corr = CorrelationData(
         x=np.array([0.5, 0.0, 0.5]), y=np.zeros(3), T=np.zeros((3, 3))
     )
-    pairs = xstate_candidates(corr)
-    diag = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
-    assert contains_direction(pairs, diag, E3)
-
-
-def test_xstate_candidates_mixed():
-    pairs = xstate_candidates(pauli_decompose(mixed_state()))
-    corr = pauli_decompose(mixed_state())
-    assert pairs
-    for d in pairs:
-        assert objective_f(corr, d) == 1.0
-
-
-def test_xstate_candidates_reject_non_canonical():
-    t = np.zeros((3, 3))
-    t[1, 2] = 0.3
-    with pytest.raises(NotCanonicalFormError):
-        xstate_candidates(CorrelationData(x=np.zeros(3), y=np.zeros(3), T=t))
-
-
-def test_xstate_rejects_data_off_both_patterns():
-    # canonical, but T13 != 0 rules out the X pattern and y != 0 the zero-y one
-    t = np.diag([0.5, 0.2, 0.6])
-    t[0, 2] = 0.4
-    corr = CorrelationData(x=np.array([0.0, 0.0, 0.2]), y=np.array([0.0, 0.0, 0.1]), T=t)
-    with pytest.raises(NotCanonicalFormError, match="X pattern.*zero-y pattern"):
-        xstate_candidates(corr)
-    with pytest.raises(NotCanonicalFormError):
-        ggqd(reconstruct_density(corr), method="xstate")
+    assert maximize_objective(corr)[0] == 1.5
 
 
 def test_xstate_exact_on_x_state_family():
@@ -157,9 +107,8 @@ def test_xstate_exact_on_x_state_family():
     for _ in range(200):
         rho = random_x_state(rng)
         corr = pauli_decompose(rho)
-        f_xstate = ggqd(rho, method="xstate").f_max
-        assert abs(f_xstate - maximize_objective(corr)[0]) <= 1e-9
-        assert abs(f_xstate - x_pattern_f_max(corr)) <= 1e-12
+        assert abs(ggqd(rho).f_max - x_pattern_f_max(corr)) <= 1e-12
+        assert maximize_objective(corr)[0] <= x_pattern_f_max(corr) + 1e-12
 
 
 _unit_interval = st.floats(-1.0, 1.0, allow_nan=False)
@@ -168,11 +117,10 @@ _unit_interval = st.floats(-1.0, 1.0, allow_nan=False)
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(x3=_unit_interval, y3=_unit_interval, t=st.tuples(_unit_interval, _unit_interval, _unit_interval))
 def test_xstate_exact_on_x_pattern(x3, y3, t):
-    # physical or not: the three axes reach the closed-form maximum
+    # physical or not: the fast path meets the closed-form maximum and never exceeds it
     corr = CorrelationData(x=np.array([0.0, 0.0, x3]), y=np.array([0.0, 0.0, y3]), T=np.diag(t))
-    f_cand = max(objective_f(corr, d) for d in xstate_candidates(corr))
-    assert abs(f_cand - x_pattern_f_max(corr)) <= 1e-12
-    assert f_cand >= maximize_objective(corr)[0] - 1e-9
+    assert abs(ggqd(corr).f_max - x_pattern_f_max(corr)) <= 1e-12
+    assert maximize_objective(corr)[0] <= x_pattern_f_max(corr) + 1e-12
 
 
 def test_bell_sweep_a_keeps_one_sign():
@@ -214,12 +162,9 @@ def test_ggqd_methods_and_diagnostics():
     rho = generate_state(StateFamilySpec("bell_mixture", {"c3": 0.5}), allow_nonphysical=True)
     fast = ggqd(rho, method="fast")
     oracle = ggqd(rho, method="oracle")
-    xst = ggqd(rho, method="xstate")
     assert fast.method == "fast" and fast.oracle_gap is None
     assert oracle.method == "oracle"
-    assert xst.method == "xstate_candidates"
     assert abs(fast.ggqd - oracle.ggqd) <= 5e-4
-    assert abs(fast.ggqd - xst.ggqd) <= 1e-6
     with pytest.raises(ValueError, match="method"):
         ggqd(rho, method="newton")
 
@@ -281,19 +226,17 @@ def test_zero_on_classical_classical():
 
 
 def test_xstate_consistency_bell_family():
+    # T = diag(1, -1, c3) with x = y = 0 is on the X pattern
     for c3 in np.arange(-1.0, 1.0001, 0.25):
         corr = bell_corr(float(np.clip(c3, -1, 1)))
-        f_full = maximize_objective(corr)[0]
-        f_cand = max(objective_f(corr, d) for d in xstate_candidates(corr))
-        assert abs(f_full - f_cand) <= 1e-6
+        assert abs(maximize_objective(corr)[0] - x_pattern_f_max(corr)) <= 1e-12
 
 
 def test_xstate_consistency_zero_y_family():
-    # Candidate completeness needs more than the canonical zero pattern: with
-    # y = 0, x in the 1-3 plane and T supported on (1,3),(2,2),(3,3), the
-    # first column of T vanishes, so a b1 component only lowers f, and the
-    # optimum sits at b = e2 or e3. (General canonical data can put the
-    # optimal b off the three axes.)
+    # With y = 0, x in the 1-3 plane and T supported on (1,3),(2,2),(3,3),
+    # the first column of T vanishes, so a b1 component only lowers f and
+    # the optimum sits at b = e2 or e3. (Off this pattern the optimal b can
+    # lie off the three axes.)
     rng = np.random.default_rng(47)
     for _ in range(50):
         t = np.zeros((3, 3))
@@ -303,9 +246,8 @@ def test_xstate_consistency_zero_y_family():
             y=np.zeros(3),
             T=t,
         )
-        f_full = maximize_objective(corr)[0]
-        f_cand = max(objective_f(corr, d) for d in xstate_candidates(corr))
-        assert abs(f_full - f_cand) <= 1e-6
+        f_axes = max(reduced_over_a(corr, b)[0] for b in np.eye(3))
+        assert abs(maximize_objective(corr)[0] - f_axes) <= 1e-12
 
 
 def test_werner_closed_form():
@@ -429,14 +371,10 @@ def test_maximize_many_matches_single_solves():
 
 @pytest.mark.parametrize(
     "method,count",
-    [("fast", 12), ("oracle", 2), ("both", 2), ("xstate", 6)],
+    [("fast", 12), ("oracle", 2), ("both", 2)],
 )
 def test_ggqd_many_matches_ggqd(method, count):
-    rng = np.random.default_rng(3)
-    if method == "xstate":
-        states = [random_x_state(rng) for _ in range(count)]
-    else:
-        states = [random_state(40 + k) for k in range(count)]
+    states = [random_state(40 + k) for k in range(count)]
     batch = ggqd_many(states, method=method)
     assert len(batch) == count
     for res, rho in zip(batch, states):
