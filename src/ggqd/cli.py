@@ -246,14 +246,14 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen(args) -> int:
     params = {}
-    seed = args.seed
+    seed, source = args.seed, "--seed"
     for token in args.params:
         name, eq, raw = token.partition("=")
         if not eq or not name:
             raise ParameterOutOfRangeError(f"expected name=value, got '{token}'")
         try:
             if name.lower() == "seed":
-                seed = int(raw)
+                seed, source = int(raw), f"'{token}'"
             else:
                 params[name] = float(raw)
         except ValueError:
@@ -261,13 +261,13 @@ def _cmd_gen(args) -> int:
     if seed is None:
         env = os.environ.get("GGQD_SEED")
         try:
-            seed = int(env) if env else 0
+            seed, source = (int(env) if env else 0), "GGQD_SEED"
         except ValueError:
             raise ParameterOutOfRangeError(f"GGQD_SEED must be an integer, got '{env}'") from None
-    state = generate_state(
-        StateFamilySpec(args.family, params, seed=seed),
-        allow_nonphysical=args.allow_nonphysical,
-    )
+    spec = StateFamilySpec(args.family, params, seed=seed)
+    if spec.family == "random" and seed < 0:
+        raise ParameterOutOfRangeError(f"seed must be a non-negative integer, got {seed} from {source}")
+    state = generate_state(spec, allow_nonphysical=args.allow_nonphysical)
     if state.diagnostic:
         print(f"note: {state.diagnostic}", file=sys.stderr)
     try:
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     except GgqdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:  # raised outside GgqdError, e.g. by NumPy for a negative seed
+    except ValueError as exc:  # raised outside GgqdError, e.g. for a non-finite matrix
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # unreadable input; write failures return 4 in-handler

@@ -216,6 +216,8 @@ def _build_x_state(spec: StateFamilySpec) -> np.ndarray:
 
 def _build_random(spec: StateFamilySpec) -> np.ndarray:
     _params_with_defaults(spec, {})
+    if spec.seed is not None and spec.seed < 0:
+        raise ParameterOutOfRangeError(f"seed must be a non-negative integer, got {spec.seed}")
     rng = np.random.default_rng(0 if spec.seed is None else spec.seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = g @ g.conj().T

@@ -441,6 +441,20 @@ def test_gen_seed_from_environment_must_be_integer(tmp_path, capsys, monkeypatch
     assert "GGQD_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args,env,source",
+    [(["seed=-1"], None, "'seed=-1'"), (["--seed", "-1"], None, "--seed"), ([], "-1", "GGQD_SEED")],
+)
+def test_gen_negative_seed_names_source(tmp_path, capsys, monkeypatch, args, env, source):
+    if env is None:
+        monkeypatch.delenv("GGQD_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GGQD_SEED", env)
+    code = main(["gen", "random", *args, "-o", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"seed must be a non-negative integer, got -1 from {source}" in capsys.readouterr().err
+
+
 def test_gen_param_errors(tmp_path, capsys):
     out_file = str(tmp_path / "x.json")
     code, _ = run_cli(["gen", "bell-mixture", "c3=2", "--allow-nonphysical", "-o", out_file], capsys)

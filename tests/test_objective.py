@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_rotation, random_state, random_unit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggqd import (
     CorrelationData,
@@ -14,6 +16,7 @@ from ggqd import (
     reduced_over_a,
     sphere_direction,
 )
+from ggqd.objective import objective_rows
 
 E1, E2, E3 = np.eye(3)
 
@@ -201,3 +204,21 @@ def test_objective_bounds():
         for _ in range(20):
             f = objective_f(corr, (random_unit(rng), random_unit(rng)))
             assert 1.0 <= f <= upper + 1e-12
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_vec = st.tuples(_finite, _finite, _finite)
+_azimuth = st.floats(0.0, 2.0 * np.pi)
+_polar = st.floats(0.0, np.pi)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(x=_vec, y=_vec, t=st.tuples(*[_finite] * 9), a_angles=st.tuples(_azimuth, _polar),
+       b_angles=st.tuples(_azimuth, _polar))
+def test_property_objective_even_in_each_direction(x, y, t, a_angles, b_angles):
+    # the oracle grids hemispheres only; negation is exact, so the symmetry is bitwise
+    corr = CorrelationData(x=x, y=y, T=np.reshape(t, (3, 3)))
+    a, b = sphere_direction(*a_angles), sphere_direction(*b_angles)
+    f = objective_rows(corr, a, b).tobytes()
+    assert objective_rows(corr, -a, b).tobytes() == f
+    assert objective_rows(corr, a, -b).tobytes() == f

@@ -181,6 +181,11 @@ def test_random_deterministic():
     assert not np.array_equal(a.entries, c.entries)
 
 
+def test_random_negative_seed_rejected():
+    with pytest.raises(ParameterOutOfRangeError, match="got -1"):
+        generate_state(StateFamilySpec("random", seed=-1))
+
+
 def test_random_states_physical():
     for seed in range(100):
         rho = random_state(seed)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from ggqd import (
     trace_cc,
     validate_density,
 )
+import ggqd.solver as solver_mod
+from ggqd.objective import objective_rows
 from ggqd.solver import _direction_grid, _grid_monomials, _maximize_many, _refine
 
 def bell_corr(c3):
@@ -92,6 +95,43 @@ def test_oracle_phi_plus():
 
 def test_oracle_mixed_exact():
     assert brute_force_oracle(pauli_decompose(mixed_state())) == 1.0
+
+
+@pytest.mark.parametrize(
+    "family,name,value",
+    [("werner", "p", p) for p in (0.0, 0.3, 0.7, 1.0)]
+    + [("bell_mixture", "c3", c3) for c3 in (-1.0, -0.5, 0.0, 0.5, 1.0)],
+)
+def test_oracle_degenerate_optima(family, name, value):
+    # criterion 4's bounds on states whose maximizers form continua
+    corr = pauli_decompose(generate_state(StateFamilySpec(family, {name: value}), allow_nonphysical=True))
+    f_fast = maximize_objective(corr)[0]
+    f_oracle = brute_force_oracle(corr)
+    assert f_fast >= f_oracle - 1e-9
+    assert abs(f_fast - f_oracle) <= 5e-4
+
+
+def test_oracle_blocked_grid_matches_full_grid(monkeypatch):
+    # with the polish switched off the oracle returns its best grid node
+    monkeypatch.setattr(solver_mod, "_refine", lambda fun, start, step: start)
+    bs = _direction_grid()[0]
+    for seed in range(3):
+        corr = pauli_decompose(random_state(seed))
+        full = objective_rows(corr, bs[:, None, :], bs[None, :, :])
+        f_grid, a_star, b_star = solver_mod._oracle_search(corr)
+        assert abs(f_grid - full.max()) <= 1e-12
+        assert abs(objective_f(corr, (a_star, b_star)) - f_grid) <= 1e-12
+
+
+def test_oracle_memory():
+    corr = pauli_decompose(generate_state(StateFamilySpec("random", seed=1)))
+    tracemalloc.start()
+    try:
+        brute_force_oracle(corr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_xstate_candidates_degenerate_denominator():
@@ -395,7 +435,8 @@ def test_grid_caches_are_read_only():
     bs, b_angles = _direction_grid()
     angles, mono = _grid_monomials()
     assert _direction_grid()[0] is bs and _grid_monomials()[1] is mono
-    assert len(angles) == 16380 and len(bs) == 2701
+    assert len(angles) == 16380 and len(bs) == 1387
+    assert (bs[:, 2] >= -1e-12).all()
     assert np.array_equal(bs, sphere_direction(b_angles[:, 0], b_angles[:, 1]))
     assert mono.shape == (9, len(angles)) and mono.flags.c_contiguous
     assert np.array_equal(mono[6:], sphere_direction(angles[:, 0], angles[:, 1]).T)
