@@ -1,12 +1,14 @@
 """Cross-check the fast solver against the brute-force oracle.
 
-The fast path grids only the b-sphere and maximizes over a exactly through
-the rank-2 eigenvalue formula; the oracle grinds through all four
-measurement angles and never touches the reduction. Since f is even in a
-and in b, it grids the northern hemisphere of each sphere only (73 x 19 =
-1,387 nodes, so 1,923,769 objective evaluations at its 5 degree step),
-evaluated one 64-row block at a time. Agreement on random states is the
-strongest correctness evidence the package ships.
+The fast path grids only the northern b-hemisphere (8,280 nodes at a
+2 degree step), maximizes over a exactly through the rank-2 eigenvalue
+formula, and polishes the best node with a few Newton steps on the sphere;
+the oracle grinds through all four measurement angles and never touches
+the reduction. Since f is even in a and in b, it grids the northern
+hemisphere of each sphere only (73 x 19 = 1,387 nodes, so 1,923,769
+objective evaluations at its 5 degree step), evaluated one 64-row block
+at a time, and polishes with a compass search. Agreement on random states
+is the strongest correctness evidence the package ships.
 """
 
 import time

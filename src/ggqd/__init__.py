@@ -10,6 +10,7 @@ a, b. See :func:`ggqd.solver.ggqd` for the entry point and
 
 from .errors import (
     GgqdError,
+    NonFiniteResultError,
     NonHermitianError,
     NonUnitDirectionError,
     NotPositiveError,
@@ -65,6 +66,7 @@ __all__ = [
     "GgqdError",
     "GgqdResult",
     "MeasurementDirections",
+    "NonFiniteResultError",
     "NonHermitianError",
     "NonUnitDirectionError",
     "NotPositiveError",

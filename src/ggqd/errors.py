@@ -37,6 +37,10 @@ class NonUnitDirectionError(GgqdError):
     """Measurement direction is not a unit vector within tolerance."""
 
 
+class NonFiniteResultError(GgqdError):
+    """f_max or trace_cc overflows float64: the correlation data are too large."""
+
+
 class StateFormatError(ValueError):
     """State file content does not match the JSON schema.
 

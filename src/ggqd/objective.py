@@ -150,35 +150,38 @@ def direction_monomials(b: np.ndarray) -> np.ndarray:
     return mono
 
 
-def reduction_coefficients(corr: CorrelationData) -> np.ndarray:
-    """The (3, 9) matrix C whose product with direction_monomials(b) is (r, q, y.b).
+def reduction_coefficients(ttt: np.ndarray, ttx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (..., 3, 9) matrices C whose product with direction_monomials(b) is (r, q, y.b).
 
-    r = |Tb|^2 = b'(T'T)b and q = (Tb).x = (T'x).b are the inputs of the
-    rank-2 eigenvalue formula in reduced_over_a_monomials.
+    ``ttt`` is T'T, shape (..., 3, 3), and ``ttx`` is T'x and ``y`` the
+    second Bloch vector, shape (..., 3). r = |Tb|^2 = b'(T'T)b and
+    q = (Tb).x = (T'x).b are the inputs of the rank-2 eigenvalue formula in
+    reduced_over_a_monomials.
     """
-    ttt = corr.T.T @ corr.T
-    c = np.zeros((3, 9))
-    c[0, :6] = ttt[_PAIR_I, _PAIR_J] * np.where(_PAIR_I == _PAIR_J, 1.0, 2.0)
-    c[1, 6:] = corr.T.T @ corr.x
-    c[2, 6:] = corr.y
+    c = np.zeros(ttt.shape[:-2] + (3, 9))
+    c[..., 0, :6] = ttt[..., _PAIR_I, _PAIR_J] * np.where(_PAIR_I == _PAIR_J, 1.0, 2.0)
+    c[..., 1, 6:] = ttx
+    c[..., 2, 6:] = y
     return c
 
 
 def reduced_over_a_monomials(coef: np.ndarray, p, mono: np.ndarray) -> np.ndarray:
-    """g(b) at every monomial column (values only, no maximizers).
+    """g(b) - 1 at every monomial column (values only, no maximizers).
 
-    ``coef`` is reduction_coefficients(corr), shape (..., 3, 9), ``p`` is
-    |x|^2 (broadcast against the columns) and ``mono`` is
+    ``coef`` is reduction_coefficients of the data, shape (..., 3, 9), ``p``
+    is |x|^2 (broadcast against the columns) and ``mono`` is
     direction_monomials(b), shape (..., 9, m); the result has shape (..., m).
     With r = |Tb|^2 and q = (Tb).x, the top eigenvalue of x x' + (Tb)(Tb)' is
-    lambda_max = (p + r + sqrt((p - r)^2 + 4 q^2)) / 2.
+    lambda_max = (p + r + sqrt((p - r)^2 + 4 q^2)) / 2. The value
+    g - 1 = (y.b)^2 + lambda_max is homogeneous of degree 2 in (x, y, T), so
+    scaling the data by a power of two scales it exactly.
 
     The formula runs in place in the rows of coef @ mono, with one
-    temporary. On a 16,380-node grid each fresh temporary is a 131 KB
-    block that the C allocator maps and unmaps, and the page faults of
-    the ten that the plain expression makes cost up to twice the
-    arithmetic (measured on a 2-core Xeon under Linux). The result is a
-    view of the y.b row.
+    temporary, where the plain expression makes ten. On the 16,380-node
+    full-sphere grid of earlier versions each was a 131 KB block that the
+    C allocator mapped and unmapped, and their page faults cost up to
+    twice the arithmetic (measured on a 2-core Xeon under Linux). The
+    result is a view of the y.b row.
     """
     rqy = coef @ mono
     r, q, yb = rqy[..., 0, :], rqy[..., 1, :], rqy[..., 2, :]
@@ -192,6 +195,5 @@ def reduced_over_a_monomials(coef: np.ndarray, p, mono: np.ndarray) -> np.ndarra
     r += d
     r *= 0.5  # lambda_max
     yb *= yb
-    yb += 1.0
     yb += r
     return yb

@@ -1,19 +1,22 @@
 """Maximization over both measurement directions and discord assembly.
 
-The fast path grids the b-sphere, evaluates the exact a-reduction at every
-node, and polishes the best node with a compass search in the two
-b-angles; the a-maximizer is then exact at the polished b. It is batched:
-the grid and its monomials are built once, each state's grid costs
-one small matrix product against the monomials, and the polishes of all
-states run in lockstep; one state is a batch of one. The brute force
-oracle searches all four angles on a grid with one compass-search polish
-and evaluates f directly, never touching the analytic reduction, so the two
-routes are independent. Since f(-a, b) = f(a, -b) = f(a, b), the oracle
-grids only the northern hemisphere of each sphere, and it evaluates that
-grid one fixed block of a-rows at a time into one reused buffer. On X
-states (T diagonal, x and y along e3) the fast path meets the paper's
-closed form f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the
-tests assert.
+The fast path grids the northern b-hemisphere (g(-b) = g(b)), evaluates
+the exact a-reduction g(b) = max_a f(a, b) at every node, and polishes the
+best node with a safeguarded Riemannian Newton ascent of g on the sphere,
+from the closed-form gradient and Hessian of the rank-2 eigenvalue; the
+a-maximizer is then exact at the polished b. The data are first scaled by
+a power of two, which g - 1 follows exactly, so huge or tiny data neither
+overflow nor underflow. It is batched: the grid and its monomials are
+built once, each state's grid costs one small matrix product against the
+monomials, and the polishes of all states run in lockstep; one state is a
+batch of one. The brute force oracle searches all four angles on a grid
+with one compass-search polish and evaluates f directly, never touching
+the analytic reduction, so the two routes are independent. Since
+f(-a, b) = f(a, -b) = f(a, b), the oracle grids only the northern
+hemisphere of each sphere, and it evaluates that grid one fixed block of
+a-rows at a time into one reused buffer. On X states (T diagonal, x and y
+along e3) the fast path meets the paper's closed form
+f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
 
 GGQD(rho) = trace_cc(corr) - f_max / 4.
 """
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteResultError
 from .objective import (
     direction_monomials,
     objective_f,
@@ -40,18 +44,26 @@ from .pauli import CorrelationData, pauli_decompose, trace_cc
 
 _METHODS = ("fast", "oracle", "both")
 
-#: The compass search stops once the centre wins at an angle step this small,
-#: or after this many iterations (it needs at most ~75 on either path).
+#: The oracle's compass search stops once the centre wins at an angle step
+#: this small, or after this many iterations (it needs at most ~75).
 _REFINE_STEP_TOL = 1e-7
 _REFINE_MAX_ITERATIONS = 200
 
-#: Grid steps in radians, each also the first compass-search step of its
-#: polish. The fast path's 2 degree b-grid has 180 x 91 = 16,380 nodes and
-#: costs a few milliseconds per state, less per state in a batch. The
-#: oracle's 5 degree grid covers polar angles [0, pi/2] only: f is even in
-#: a and in b, so every direction's antipode lies in that hemisphere and the
-#: resolution is that of the full sphere. That is 73 x 19 = 1,387 nodes per
-#: direction, so 1,923,769 objective evaluations per state.
+#: The fast path's Newton polish stops a state once its tangent gradient is
+#: at most _NEWTON_GRAD_TOL (in the scaled units of _scaled_data), tries
+#: each step at full length and halved up to _NEWTON_HALVINGS times, and
+#: takes at most _NEWTON_MAX_ITERATIONS steps (it needs 2 to 5).
+_NEWTON_GRAD_TOL = 1e-12
+_NEWTON_HALVINGS = 30
+_NEWTON_MAX_ITERATIONS = 50
+
+#: Grid steps in radians. Both grids cover polar angles [0, pi/2] only:
+#: f is even in a and in b, and so is g, so every direction's antipode lies
+#: in that hemisphere and the resolution is that of the full sphere. The
+#: fast path's 2 degree b-grid has 180 x 46 = 8,280 nodes and is the start
+#: of its Newton polish. The oracle's 5 degree grid has 73 x 19 = 1,387
+#: nodes per direction, so 1,923,769 objective evaluations per state; its
+#: step is also the first step of its compass search.
 _B_GRID_STEP = 0.035
 _ORACLE_STEP = 0.087
 
@@ -61,7 +73,7 @@ _ORACLE_STEP = 0.087
 _ORACLE_BLOCK = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GgqdResult:
     """Discord value with maximizer and diagnostics.
 
@@ -81,7 +93,8 @@ class GgqdResult:
 def _orient(v: np.ndarray) -> np.ndarray:
     """Pick the sign representative: third component >= 0, then first, then second.
 
-    Components within 10 * _REFINE_STEP_TOL (the polish's accuracy) count as 0.
+    Components within 10 * _REFINE_STEP_TOL (the compass search's accuracy;
+    the Newton polish is more accurate) count as 0.
     """
     tol = 10.0 * _REFINE_STEP_TOL
     w = np.array(v, dtype=float)
@@ -91,13 +104,14 @@ def _orient(v: np.ndarray) -> np.ndarray:
     return -w if flip else w
 
 
-def _grid_angles(step: float, polar_max: float = math.pi) -> np.ndarray:
-    """The (azimuth, polar) pairs of the product grid at ``step``, read-only.
+def _grid_angles(step: float) -> np.ndarray:
+    """The (azimuth, polar) pairs of the northern-hemisphere grid at ``step``, read-only.
 
-    Polar angles run from 0 up to ``polar_max``.
+    Polar angles run from 0 in steps of ``step``; the last is clipped to
+    pi/2, so no node lies south of the equator.
     """
     azimuth = np.arange(0.0, 2.0 * math.pi, step)
-    polar = np.arange(0.0, polar_max + 0.5 * step, step)
+    polar = np.minimum(np.arange(0.0, 0.5 * math.pi + 0.5 * step, step), 0.5 * math.pi)
     angles = np.stack(np.meshgrid(azimuth, polar, indexing="ij"), axis=-1).reshape(-1, 2)
     angles.setflags(write=False)
     return angles
@@ -109,7 +123,7 @@ def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
 
     Built on first use and shared read-only.
     """
-    angles = _grid_angles(_ORACLE_STEP, 0.5 * math.pi)
+    angles = _grid_angles(_ORACLE_STEP)
     bs = sphere_direction(angles[:, 0], angles[:, 1])
     bs.setflags(write=False)
     return bs, angles
@@ -119,9 +133,9 @@ def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
 def _grid_monomials() -> tuple[np.ndarray, np.ndarray]:
     """The b-grid's angle pairs and the direction_monomials of its directions, read-only.
 
-    Built on first use. The monomials are one contiguous (9, m) array. The
-    fast path needs no direction vectors beside them, so unlike
-    _direction_grid none are kept.
+    Built on first use. The monomials are one contiguous (9, m) array; its
+    last three rows are the directions themselves, so unlike
+    _direction_grid no separate vectors are kept.
     """
     angles = _grid_angles(_B_GRID_STEP)
     mono = direction_monomials(sphere_direction(angles[:, 0], angles[:, 1]))
@@ -161,28 +175,180 @@ def _refine(fun, start: np.ndarray, step: float) -> np.ndarray:
     return x
 
 
+def _scaled_data(corrs: list[CorrelationData]):
+    """The fast path's data for each state, stacked, after an exact scaling.
+
+    Each state's x, y and T are scaled by 2^-e, the power of two that puts
+    their largest entry in [0.5, 1). g - 1 is homogeneous of degree 2 in
+    (x, y, T), so on the original data it is 4^e times g - 1 on these,
+    exactly, and huge or tiny data neither overflow nor underflow. Returns
+    e (n,), the columns [K | c | y] (n, 3, 5) with K = T'T and c = T'x, and
+    p = |x|^2 (n,).
+    """
+    x = np.array([c.x for c in corrs])
+    y = np.array([c.y for c in corrs])
+    t = np.array([c.T for c in corrs])
+    big = np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1))
+    e = np.frexp(np.maximum(big, np.abs(t).max(axis=(1, 2))))[1]
+    x = np.ldexp(x, -e[:, None])
+    y = np.ldexp(y, -e[:, None])
+    tt = np.ldexp(t, -e[:, None, None]).swapaxes(1, 2)
+    kcy = np.concatenate([tt @ tt.swapaxes(1, 2), tt @ x[..., None], y[..., None]], axis=2)
+    return e, kcy, (x * x).sum(axis=1)
+
+
+def _tangent_frame(b: np.ndarray) -> np.ndarray:
+    """Rows (b, e1, e2) of an orthonormal frame at each unit row of ``b``.
+
+    Branch-free for every unit vector (Duff et al., "Building an
+    orthonormal basis, revisited", JCGT 6(1), 2017). With sign = +-1 the
+    sign of b3, a = -1 / (sign + b3) and w = b + sign e3, the frame is
+    e1 = e_1 + sign b1 a w and e2 = sign e_2 + b2 a w.
+    """
+    sign = np.copysign(1.0, b[:, 2])
+    a = -1.0 / (sign + b[:, 2])
+    w = b.copy()
+    w[:, 2] += sign
+    frame = np.empty((len(b), 3, 3))
+    frame[:, 0] = b
+    frame[:, 1] = (sign * b[:, 0] * a)[:, None] * w
+    frame[:, 2] = (b[:, 1] * a)[:, None] * w
+    frame[:, 1, 0] += 1.0
+    frame[:, 2, 1] += sign
+    return frame
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[:, :, None] * v[:, None, :]
+
+
+def _derivatives(kcy: np.ndarray, p: np.ndarray, b: np.ndarray):
+    """The frame at each unit row of ``b``, and the gradient and Hessian of g in it.
+
+    ``kcy`` and ``p`` are as _scaled_data returns them. With r = b'Kb,
+    q = c.b, s = sqrt((p - r)^2 + 4 q^2) and u = (r - p) Kb + 2 q c,
+    g = 1 + (y.b)^2 + (p + r + s) / 2 has
+
+        grad g = 2 (y.b) y + Kb + u / s,
+        hess g = 2 y y' + K + ((r - p) K + 2 Kb Kb' + 2 c c' - 2 u u' / s^2) / s.
+
+    Both are returned in the coordinates of the frame F = _tangent_frame(b),
+    F grad and F hess F', so their first coordinate is along b and the
+    other two span the tangent plane. |r - p| and |2 q| are at most s, so
+    u / s stays bounded. Where s <= 1e-100 (s = 0 means p = r and q = 0,
+    where the eigenvalue need not be differentiable) the terms divided by
+    s are dropped, so no entry overflows.
+    """
+    frame = _tangent_frame(b)
+    fkcy = frame @ kcy
+    k = fkcy[:, :, :3] @ frame.swapaxes(1, 2)  # F K F'; F b is the first unit vector
+    kb, c, y = k[:, :, 0], fkcy[:, :, 3], fkcy[:, :, 4]
+    r, q, yb = kb[:, 0], c[:, 0], y[:, 0]
+    s = np.hypot(p - r, 2.0 * q)
+    smooth = s > 1e-100
+    inv = smooth / np.where(smooth, s, 1.0)
+    d = (r - p) * inv
+    v = d[:, None] * kb + (2.0 * q * inv)[:, None] * c  # u / s
+    grad = (2.0 * yb)[:, None] * y + kb + v
+    hess = 2.0 * _outer(y, y) + (1.0 + d)[:, None, None] * k
+    hess += (2.0 * inv)[:, None, None] * (_outer(kb, kb) + _outer(c, c) - _outer(v, v))
+    return frame, grad, hess
+
+
+def _tangent_terms(kcy: np.ndarray, p: np.ndarray, b: np.ndarray):
+    """The frame (n, 3, 3), tangent gradient (n, 2) and tangent Hessian (n, 2, 2) of g at rows of ``b``.
+
+    The Riemannian Hessian on the sphere is the tangent block of the
+    Euclidean one minus (b.grad g) I.
+    """
+    frame, grad, hess = _derivatives(kcy, p, b)
+    return frame, grad[:, 1:], hess[:, 1:, 1:] - grad[:, 0, None, None] * np.eye(2)
+
+
+def _newton_ascent(kcy, p, coef, b, h):
+    """Safeguarded Riemannian Newton ascent of g from each row of ``b``.
+
+    ``kcy`` and ``p`` are as _scaled_data returns them, and ``h`` is g - 1
+    at the rows of ``b``, as reduced_over_a_monomials with ``coef``
+    evaluates it. All rows step in lockstep. A row whose tangent Hessian
+    is negative definite takes the Newton step; any other row takes the
+    gradient divided by a Gershgorin bound on that Hessian. Steps are
+    capped at length 1, and the point b + t * step is normalized back
+    onto the sphere. The longest of t = 1, 1/2, ..., 2^-_NEWTON_HALVINGS
+    that increases h strictly is taken. A row is done once its tangent
+    gradient is at most _NEWTON_GRAD_TOL, or no t increases h: near a
+    tangent gradient of 1e-8 a Newton step gains ~1e-16, the rounding of
+    h. A done row stays put, so every row follows exactly the path it
+    would follow alone, and h never decreases. Returns the final b, h and
+    each row's number of steps, which reaches _NEWTON_MAX_ITERATIONS only
+    if the cap cut it off.
+    """
+    b, h = b.copy(), h.copy()
+    steps = np.zeros(len(b), dtype=int)
+    t = 0.5 ** np.arange(_NEWTON_HALVINGS + 1)
+    active = np.arange(len(b))
+    for _ in range(_NEWTON_MAX_ITERATIONS):
+        bk = b[active]
+        frame, grad, hess = _tangent_terms(kcy[active], p[active], bk)
+        g1, g2 = grad[:, 0], grad[:, 1]
+        h11, h12, h22 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+        gnorm = np.hypot(g1, g2)
+        live = gnorm > _NEWTON_GRAD_TOL
+        if not live.any():
+            break
+        det = h11 * h22 - h12 * h12
+        newton = (h11 < 0.0) & (det > 0.0)
+        det = np.where(newton, det, 1.0)
+        # at least the gradient's length, so a gradient step is at most 1 long
+        bound = np.maximum(np.maximum(abs(h11), abs(h22)) + abs(h12), np.maximum(gnorm, _NEWTON_GRAD_TOL))
+        d1 = np.where(newton, (h12 * g2 - h22 * g1) / det, g1 / bound)
+        d2 = np.where(newton, (h12 * g1 - h11 * g2) / det, g2 / bound)
+        cap = 1.0 / np.maximum(np.hypot(d1, d2), 1.0)
+        step = (d1 * cap)[:, None] * frame[:, 1] + (d2 * cap)[:, None] * frame[:, 2]
+        trial = bk[:, None, :] + t[None, :, None] * step[:, None, :]
+        trial /= np.sqrt((trial * trial).sum(axis=2))[..., None]
+        ht = reduced_over_a_monomials(coef[active], p[active, None], direction_monomials(trial))
+        better = ht > h[active, None]
+        moved = live & better.any(axis=1)
+        k = better.argmax(axis=1)[moved]
+        active = active[moved]
+        b[active] = trial[moved, k]
+        h[active] = ht[moved, k]
+        steps[active] += 1
+        if not len(active):
+            break
+    return b, h, steps
+
+
 def _maximize_many(corrs: list[CorrelationData]) -> list[tuple]:
     """maximize_objective for each of ``corrs``, as one batch.
 
     Each state's grid is evaluated on its own, through the cached grid
-    monomials; the polishes then run in lockstep. Row k of the result is
-    bit for bit what a batch of corrs[k] alone returns.
+    monomials; the Newton polishes then run in lockstep. Row k of the
+    result is bit for bit what a batch of corrs[k] alone returns. Raises
+    NonFiniteResultError if an f_max overflows float64.
     """
     if not corrs:
         return []
-    angles, mono = _grid_monomials()
-    coefs = np.stack([reduction_coefficients(c) for c in corrs])
-    p = np.array([c.x @ c.x for c in corrs])
-    start = angles[[int(np.argmax(reduced_over_a_monomials(c, pk, mono))) for c, pk in zip(coefs, p)]]
-
-    def stencil(points):
-        mono = direction_monomials(sphere_direction(points[..., 0], points[..., 1]))
-        return reduced_over_a_monomials(coefs, p[:, None], mono)
+    _, mono = _grid_monomials()
+    e, kcy, p = _scaled_data(corrs)
+    coef = reduction_coefficients(kcy[:, :, :3], kcy[:, :, 3], kcy[:, :, 4])
+    start = np.empty((len(corrs), 3))
+    h = np.empty(len(corrs))
+    for k in range(len(corrs)):
+        values = reduced_over_a_monomials(coef[k], p[k], mono)
+        node = int(np.argmax(values))
+        start[k], h[k] = mono[6:, node], values[node]
+    b, h, _ = _newton_ascent(kcy, p, coef, start, h)
 
     out = []
-    for corr, (azimuth, polar) in zip(corrs, _refine(stencil, start, _B_GRID_STEP)):
-        b_star = sphere_direction(azimuth, polar)
-        f_max, a_star = reduced_over_a(corr, b_star)
+    for corr, b_star, h_star, e_k in zip(corrs, b, h, e):
+        try:
+            f_max = 1.0 + math.ldexp(h_star, 2 * int(e_k))
+        except OverflowError:
+            msg = "f_max overflows float64; the correlation data are too large"
+            raise NonFiniteResultError(msg) from None
+        a_star = reduced_over_a(corr, b_star)[1]
         out.append((f_max, _orient(a_star), _orient(b_star)))
     return out
 
@@ -190,10 +356,10 @@ def _maximize_many(corrs: list[CorrelationData]) -> list[tuple]:
 def maximize_objective(corr: CorrelationData):
     """Maximize f over both directions via the exact a-reduction.
 
-    Returns (f_max, a_star, b_star). The b-sphere is gridded at a 2 degree
-    step, the best node is polished by a compass search on the two b-angles
-    starting at the grid step, and a_star is the exact top eigenvector at
-    the final b. A batch of one through the batched solve.
+    Returns (f_max, a_star, b_star). The northern b-hemisphere is gridded
+    at a 2 degree step, the best node is polished by a safeguarded Newton
+    ascent on the sphere, and a_star is the exact top eigenvector at the
+    final b. A batch of one through the batched solve.
     """
     return _maximize_many([corr])[0]
 
@@ -250,7 +416,8 @@ def ggqd_many(states, method: str = "fast") -> list[GgqdResult]:
     ``ggqd(states[k], method)``. The fast path (also under ``both``)
     evaluates each state's b-grid on its own and polishes all states in
     lockstep; ``oracle`` and the oracle half of ``both`` run state by
-    state. See :func:`ggqd` for the methods.
+    state. See :func:`ggqd` for the methods. Raises NonFiniteResultError
+    if f_max or trace_cc overflows float64.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'; expected one of {_METHODS}")
@@ -264,6 +431,10 @@ def ggqd_many(states, method: str = "fast") -> list[GgqdResult]:
     results = []
     for corr, (f_max, a_star, b_star) in zip(corrs, solved):
         tcc = trace_cc(corr)
+        if not (math.isfinite(f_max) and math.isfinite(tcc)):
+            raise NonFiniteResultError(
+                f"f_max = {f_max:.6g} and trace_cc = {tcc:.6g}: the correlation data are too large"
+            )
         gap = abs(f_max - brute_force_oracle(corr)) if method == "both" else None
         results.append(
             GgqdResult(
@@ -286,7 +457,7 @@ def ggqd(rho, method: str = "fast") -> GgqdResult:
     the call is ``ggqd_many([rho], method)[0]``, a batch of one.
 
     method:
-      fast    exact a-reduction over a cached b-grid with compass-search polish
+      fast    exact a-reduction over a cached b-grid with Newton polish
       oracle  4-angle brute force with compass-search polish only
       both    fast, cross-checked against the oracle (fills oracle_gap)
     """

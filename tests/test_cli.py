@@ -169,6 +169,36 @@ def test_undecodable_or_deep_state_file_is_parse_error(tmp_path, capsys, command
     assert "error: cannot parse input" in err
 
 
+def write_large_coherence(tmp_path, value):
+    # Hermitian and unit-trace, far outside the physical range: rho[0,1] = rho[1,0] = value
+    m = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    m[0][1] = m[1][0] = [value, 0.0]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"matrix": m}), encoding="utf-8")
+    return str(path)
+
+
+def test_compute_large_nonphysical_data_is_exact(tmp_path, capsys):
+    # y1 = T31 = 2e150, so f_max = 1 + 4e300 + 4e300 at a = e3, b = e1; the
+    # grid used to overflow (with a RuntimeWarning, an error here) and report 9.8e297
+    path = write_large_coherence(tmp_path, 1e150)
+    code, out = run_cli(["compute", path, "--allow-nonphysical", "--json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert abs(data["f_max"] / 8e300 - 1.0) <= 1e-12
+    assert abs(data["trace_cc"] / 2e300 - 1.0) <= 1e-12
+    assert np.allclose(np.abs(data["b_star"]), [1.0, 0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("command", ["compute", "oracle"])
+def test_overflowing_data_is_validation_error(tmp_path, capsys, command):
+    path = write_large_coherence(tmp_path, 1e155)
+    code = main([command, path, "--allow-nonphysical"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "too large" in captured.err and captured.out == ""
+
+
 def test_grid_step_flags_are_usage_errors(tmp_path, capsys):
     # the grid steps are constants: no flag sets them
     path = write_mixed(tmp_path)

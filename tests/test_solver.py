@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import ggqd as ggqd_pkg
 from ggqd import (
     CorrelationData,
+    NonFiniteResultError,
     StateFamilySpec,
     TraceNotOneError,
     brute_force_oracle,
@@ -30,8 +31,17 @@ from ggqd import (
     validate_density,
 )
 import ggqd.solver as solver_mod
-from ggqd.objective import objective_rows
-from ggqd.solver import _direction_grid, _grid_monomials, _maximize_many, _refine
+from ggqd.objective import objective_rows, rank2_lambda_max
+from ggqd.solver import (
+    _NEWTON_MAX_ITERATIONS,
+    _derivatives,
+    _direction_grid,
+    _grid_monomials,
+    _maximize_many,
+    _refine,
+    _scaled_data,
+    _tangent_terms,
+)
 
 def bell_corr(c3):
     rho = generate_state(StateFamilySpec("bell_mixture", {"c3": c3}), allow_nonphysical=True)
@@ -310,6 +320,150 @@ def test_ggqd_rejects_bare_array_with_wrong_trace():
         ggqd(np.ones((4, 4)))
 
 
+def scaled_corr(corr):
+    """The data _scaled_data works on, as CorrelationData."""
+    e = int(_scaled_data([corr])[0][0])
+    return CorrelationData(x=np.ldexp(corr.x, -e), y=np.ldexp(corr.y, -e), T=np.ldexp(corr.T, -e))
+
+
+def test_derivatives_match_central_differences():
+    rng = np.random.default_rng(83)
+    for seed in range(50):
+        corr = pauli_decompose(random_state(900 + seed))
+        sc = scaled_corr(corr)
+        _, kcy, p = _scaled_data([corr])
+        b = rng.standard_normal(3)
+        b /= np.linalg.norm(b)
+
+        # Euclidean gradient and Hessian against the natural extension of g off the sphere
+        def g_ext(v):
+            return 1.0 + (sc.y @ v) ** 2 + rank2_lambda_max(sc.x, sc.T @ v)[0]
+
+        frame, grad_f, hess_f = _derivatives(kcy, p, b[None])
+        frame, grad, hess = frame[0], frame[0].T @ grad_f[0], frame[0].T @ hess_f[0] @ frame[0]
+        assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-14, rtol=0.0)
+        assert np.allclose(frame[0], b, atol=0.0, rtol=0.0)
+        step, eye = 1e-5, np.eye(3)
+        fd_grad = [(g_ext(b + step * u) - g_ext(b - step * u)) / (2 * step) for u in eye]
+        assert np.allclose(grad, fd_grad, atol=1e-8, rtol=0.0)
+        step = 1e-4
+        fd_hess = [
+            [
+                (g_ext(b + step * (u + w)) - g_ext(b + step * (u - w)) - g_ext(b - step * (u - w))
+                 + g_ext(b - step * (u + w))) / (4 * step * step)
+                for w in eye
+            ]
+            for u in eye
+        ]
+        assert np.allclose(hess, fd_hess, atol=1e-5, rtol=0.0)
+
+        # tangent terms against geodesic differences of reduced_over_a itself
+        _, tgrad, thess = _tangent_terms(kcy, p, b[None])
+        e1, e2 = frame[1], frame[2]
+
+        def along(u, angle):
+            return reduced_over_a(sc, np.cos(angle) * b + np.sin(angle) * u)[0]
+
+        def second(u, angle=1e-4):
+            return (along(u, angle) - 2.0 * along(u, 0.0) + along(u, -angle)) / angle**2
+
+        for i, u in enumerate((e1, e2)):
+            assert abs(tgrad[0, i] - (along(u, 1e-5) - along(u, -1e-5)) / 2e-5) <= 1e-8
+            assert abs(thess[0, i, i] - second(u)) <= 1e-5
+        mixed = second((e1 + e2) / np.sqrt(2.0))
+        assert abs(thess[0, 0, 1] - (mixed - 0.5 * (thess[0, 0, 0] + thess[0, 1, 1]))) <= 1e-5
+
+
+def test_newton_polish_optimality_evidence(monkeypatch):
+    corrs = [pauli_decompose(random_state(seed)) for seed in range(200)]
+    ascent, steps = solver_mod._newton_ascent, []
+
+    def recording(*args):
+        out = ascent(*args)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver_mod, "_newton_ascent", recording)
+    polished = _maximize_many(corrs)
+    assert steps[0].max() < _NEWTON_MAX_ITERATIONS
+    e, kcy, p = _scaled_data(corrs)
+    b_star = np.array([r[2] for r in polished])
+    _, tgrad, thess = _tangent_terms(kcy, p, b_star)
+    # back to the original data: g - 1 scales by 4^e
+    tgrad, thess = np.ldexp(tgrad, 2 * e[:, None]), np.ldexp(thess, 2 * e[:, None, None])
+    assert np.hypot(tgrad[:, 0], tgrad[:, 1]).max() <= 1e-8
+    assert np.linalg.eigvalsh(thess).max() <= 1e-8
+
+    monkeypatch.setattr(solver_mod, "_newton_ascent", lambda kcy, p, coef, b, h: (b, h, None))
+    for (f_max, _, _), (f_grid, _, _) in zip(polished, _maximize_many(corrs)):
+        assert f_max >= f_grid
+
+
+def test_fast_path_runs_no_compass_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the fast path called _refine")
+
+    monkeypatch.setattr(solver_mod, "_refine", refuse)
+    assert abs(maximize_objective(bell_corr(0.5))[0] - 2.0) <= 1e-12
+    assert ggqd_many([random_state(3), random_state(4)])[0].method == "fast"
+
+
+_TILT = np.array([np.sin(0.01), 0.0, np.cos(0.01)])
+
+
+@pytest.mark.parametrize(
+    "corr,f_want",
+    [(pauli_decompose(generate_state(StateFamilySpec("werner", {"p": p}))), 1.0 + p * p)
+     for p in (0.0, 0.3, 0.7, 1.0)]
+    + [
+        (pauli_decompose(generate_state(StateFamilySpec("bell_phi_plus"))), 2.0),
+        (pauli_decompose(validate_density(np.eye(4) / 4)), 1.0),
+        # s = 0 everywhere, and the maximum is a grid node
+        (CorrelationData(x=np.zeros(3), y=np.array([0.0, 0.0, 1.0]), T=np.zeros((3, 3))), 2.0),
+        # s = 0 everywhere, and the maximum at polar angle 0.01 lies between grid nodes
+        (CorrelationData(x=np.zeros(3), y=0.9 * _TILT, T=np.zeros((3, 3))), 1.81),
+        # s = 0 at b = +-e2 only; g = 1.25 everywhere
+        (CorrelationData(x=np.array([0.5, 0.0, 0.0]), y=np.zeros(3), T=np.diag([0.0, 0.5, 0.0])), 1.25),
+    ],
+    ids=["werner-0", "werner-0.3", "werner-0.7", "werner-1", "phi-plus", "maximally-mixed",
+         "s0-y-e3", "s0-y-tilted", "s0-at-e2"],
+)
+def test_fast_path_degenerate_and_nonsmooth_points(corr, f_want):
+    f_max, a_star, b_star = maximize_objective(corr)
+    assert abs(f_max - f_want) <= 1e-12
+    assert abs(objective_f(corr, (a_star, b_star)) - f_max) <= 1e-12
+
+
+def test_derivatives_finite_where_s_vanishes():
+    # x = (0.5, 0, 0), T = diag(0, 0.5, 0): p = r and q = 0 at b = e2
+    corr = CorrelationData(x=np.array([0.5, 0.0, 0.0]), y=np.zeros(3), T=np.diag([0.0, 0.5, 0.0]))
+    _, kcy, p = _scaled_data([corr])
+    for b in (np.array([[0.0, 1.0, 0.0]]), np.array([[0.0, -1.0, 0.0]])):
+        _, tgrad, thess = _tangent_terms(kcy, p, b)
+        assert np.isfinite(tgrad).all() and np.isfinite(thess).all()
+        assert np.abs(tgrad).max() <= 1e-15
+
+
+def test_trace_cc_overflow_raises():
+    # f_max = 1 + 1e308 is finite, trace_cc = (1 + 3e308) / 4 is not
+    corr = CorrelationData(x=np.zeros(3), y=np.zeros(3), T=np.diag([1e154] * 3))
+    assert abs(maximize_objective(corr)[0] / 1e308 - 1.0) <= 1e-15
+    with pytest.raises(NonFiniteResultError, match="too large"):
+        ggqd(corr)
+
+
+def test_scaling_is_exact():
+    # g - 1 is homogeneous of degree 2 in (x, y, T): scaling by 2^k scales f_max - 1 by 4^k
+    corr = pauli_decompose(random_state(5))
+    f_max, a_star, b_star = maximize_objective(corr)
+    for k in (-600, -30, 30, 500):
+        big = CorrelationData(x=np.ldexp(corr.x, k), y=np.ldexp(corr.y, k), T=np.ldexp(corr.T, k))
+        f_big, a_big, b_big = maximize_objective(big)
+        want = np.ldexp(f_max - 1.0, 2 * k)
+        assert abs(f_big - 1.0 - want) <= 1e-15 * max(1.0, want)
+        assert np.array_equal(a_big, a_star) and np.array_equal(b_big, b_star)
+
+
 def test_refine_never_worse_than_start():
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -435,8 +589,8 @@ def test_grid_caches_are_read_only():
     bs, b_angles = _direction_grid()
     angles, mono = _grid_monomials()
     assert _direction_grid()[0] is bs and _grid_monomials()[1] is mono
-    assert len(angles) == 16380 and len(bs) == 1387
-    assert (bs[:, 2] >= -1e-12).all()
+    assert len(angles) == 8280 and len(bs) == 1387
+    assert (bs[:, 2] >= -1e-12).all() and (mono[8] >= -1e-12).all()
     assert np.array_equal(bs, sphere_direction(b_angles[:, 0], b_angles[:, 1]))
     assert mono.shape == (9, len(angles)) and mono.flags.c_contiguous
     assert np.array_equal(mono[6:], sphere_direction(angles[:, 0], angles[:, 1]).T)
