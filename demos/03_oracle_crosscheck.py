@@ -7,8 +7,9 @@ the oracle grinds through all four measurement angles and never touches
 the reduction. Since f is even in a and in b, it grids the northern
 hemisphere of each sphere only (73 x 19 = 1,387 nodes, so 1,923,769
 objective evaluations at its 5 degree step), evaluated one 64-row block
-at a time, and polishes with a compass search. Agreement on random states
-is the strongest correctness evidence the package ships.
+at a time, and polishes the best pair with a few Newton steps of f itself
+on both spheres at once. Agreement on random states is the strongest
+correctness evidence the package ships.
 """
 
 import time

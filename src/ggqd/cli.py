@@ -1,9 +1,10 @@
 """Command line front end: ``ggqd compute|sweep|validate|oracle|gen``.
 
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 unwritable
-output path, 5 oracle gap above 1e-3 (``oracle``, and ``compute|sweep
---method both`` after the report or CSV is written). All numeric output
-uses 12 significant digits and is deterministic for fixed flags and seed.
+output path, 5 oracle gap above 1e-3 times max(1, m^2), m the largest
+|entry| of x, y and T (``oracle``, and ``compute|sweep --method both``
+after the report or CSV is written). All numeric output uses 12
+significant digits and is deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -71,6 +72,16 @@ class SweepSpec:
         return [self.start + k * self.step for k in range(n)]
 
 
+def _gap_limit(corr) -> float:
+    """ORACLE_GAP_LIMIT times max(1, m^2), m the largest |entry| of x, y and T.
+
+    f - 1 is quadratic in the data, so the rounding of either f_max grows
+    like m^2. On physical states m <= 1 and the limit is ORACLE_GAP_LIMIT.
+    """
+    m = float(max(np.abs(corr.x).max(), np.abs(corr.y).max(), np.abs(corr.T).max()))
+    return ORACLE_GAP_LIMIT * max(1.0, m * m)
+
+
 def _fmt(x) -> str:
     x = float(x)
     if x == 0.0:
@@ -92,7 +103,8 @@ def _cmd_compute(args) -> int:
     rho = load_state(args.input, allow_nonphysical=args.allow_nonphysical)
     if rho.diagnostic:
         print(f"note: {rho.diagnostic}", file=sys.stderr)
-    res = ggqd(rho, method=args.method)
+    corr = pauli_decompose(rho)
+    res = ggqd(corr, method=args.method)
     if args.json:
         print(
             json.dumps(
@@ -119,7 +131,7 @@ def _cmd_compute(args) -> int:
         if res.oracle_gap is not None:
             pairs.append(("oracle_gap", _fmt(res.oracle_gap)))
         _print_kv(pairs)
-    if res.oracle_gap is not None and res.oracle_gap > ORACLE_GAP_LIMIT:
+    if res.oracle_gap is not None and res.oracle_gap > _gap_limit(corr):
         return EXIT_GAP
     return EXIT_OK
 
@@ -150,9 +162,11 @@ def _cmd_sweep(args) -> int:
 
     lines = [CSV_HEADER]
     first_gap = None
-    for value, res in zip(values, ggqd_many(corrs, method=spec.method)):
-        if first_gap is None and res.oracle_gap is not None and res.oracle_gap > ORACLE_GAP_LIMIT:
-            first_gap = (value, res.oracle_gap)
+    for value, corr, res in zip(values, corrs, ggqd_many(corrs, method=spec.method)):
+        if first_gap is None and res.oracle_gap is not None:
+            limit = _gap_limit(corr)
+            if res.oracle_gap > limit:
+                first_gap = (value, res.oracle_gap, limit)
         a, b = res.a_star, res.b_star
         lines.append(
             ",".join(
@@ -178,9 +192,9 @@ def _cmd_sweep(args) -> int:
         print(f"error: cannot write {spec.output_path}: {exc}", file=sys.stderr)
         return EXIT_WRITE
     if first_gap is not None:
-        value, gap = first_gap
+        value, gap, limit = first_gap
         print(
-            f"error: oracle gap {_fmt(gap)} above {ORACLE_GAP_LIMIT:g} at {spec.param_name} = {_fmt(value)}",
+            f"error: oracle gap {_fmt(gap)} above {limit:g} at {spec.param_name} = {_fmt(value)}",
             file=sys.stderr,
         )
         return EXIT_GAP
@@ -241,7 +255,7 @@ def _cmd_oracle(args) -> int:
                 ("gap", _fmt(gap)),
             ]
         )
-    return EXIT_OK if gap <= ORACLE_GAP_LIMIT else EXIT_GAP
+    return EXIT_OK if gap <= _gap_limit(corr) else EXIT_GAP
 
 
 def _cmd_gen(args) -> int:
@@ -288,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="compute GGQD of a state file")
     compute.add_argument("input", help="state file (JSON)")
     compute.add_argument("--method", choices=_METHODS, default="fast",
-                         help="'both' also runs the oracle and exits 5 if the gap is above 1e-3")
+                         help="'both' also runs the oracle and exits 5 if the gap is above 1e-3 "
+                              "(times m^2 for data entries m > 1)")
     compute.add_argument("--allow-nonphysical", action="store_true",
                          help="accept states that fail positivity")
     compute.add_argument("--json", action="store_true", help="emit a single JSON object")
@@ -302,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--step", type=float, required=True)
     sweep.add_argument("-o", "--output", required=True, help="output CSV path")
     sweep.add_argument("--method", choices=_METHODS, default="fast",
-                       help="'both' also runs the oracle and exits 5 if any point's gap is above 1e-3")
+                       help="'both' also runs the oracle and exits 5 if any point's gap is above 1e-3 "
+                            "(times m^2 for data entries m > 1)")
     sweep.add_argument("--allow-nonphysical", action="store_true")
     sweep.set_defaults(handler=_cmd_sweep)
 

@@ -80,7 +80,7 @@ def correlation_matrix(corr: CorrelationData) -> np.ndarray:
 def trace_cc(corr: CorrelationData) -> float:
     """Squared Frobenius norm of C: (1 + |x|^2 + |y|^2 + |T|_F^2) / 4.
 
-    inf, without a warning, when the sum overflows float64.
+    A Python float; inf, without a warning, when the sum overflows float64.
     """
     with np.errstate(over="ignore"):
-        return 0.25 * (1.0 + corr.x @ corr.x + corr.y @ corr.y + float(np.sum(corr.T * corr.T)))
+        return float(0.25 * (1.0 + corr.x @ corr.x + corr.y @ corr.y + float(np.sum(corr.T * corr.T))))

@@ -9,10 +9,12 @@ a power of two, which g - 1 follows exactly, so huge or tiny data neither
 overflow nor underflow. It is batched: the grid and its monomials are
 built once, each state's grid costs one small matrix product against the
 monomials, and the polishes of all states run in lockstep; one state is a
-batch of one. The brute force oracle searches all four angles on a grid
-with one compass-search polish and evaluates f directly, never touching
-the analytic reduction, so the two routes are independent. Since
-f(-a, b) = f(a, -b) = f(a, b), the oracle grids only the northern
+batch of one. The brute force oracle grids all four angles and polishes
+the best pair with a safeguarded Riemannian Newton ascent of f itself on
+the product of the two spheres, from f's own gradient and Hessian. It
+evaluates f directly and never touches the analytic reduction, so the two
+routes are independent; it scales its data by a power of two of its own.
+Since f(-a, b) = f(a, -b) = f(a, b), the oracle grids only the northern
 hemisphere of each sphere, and it evaluates that grid one fixed block of
 a-rows at a time into one reused buffer. On X states (T diagonal, x and y
 along e3) the fast path meets the paper's closed form
@@ -24,7 +26,6 @@ GGQD(rho) = trace_cc(corr) - f_max / 4.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,8 +34,6 @@ import numpy as np
 from .errors import NonFiniteResultError
 from .objective import (
     direction_monomials,
-    objective_f,
-    objective_rows,
     reduced_over_a,
     reduced_over_a_monomials,
     reduction_coefficients,
@@ -44,10 +43,8 @@ from .pauli import CorrelationData, pauli_decompose, trace_cc
 
 _METHODS = ("fast", "oracle", "both")
 
-#: The oracle's compass search stops once the centre wins at an angle step
-#: this small, or after this many iterations (it needs at most ~75).
-_REFINE_STEP_TOL = 1e-7
-_REFINE_MAX_ITERATIONS = 200
+#: _orient counts components within this of 0 as 0.
+_ORIENT_TOL = 1e-6
 
 #: The fast path's Newton polish stops a state once its tangent gradient is
 #: at most _NEWTON_GRAD_TOL (in the scaled units of _scaled_data), tries
@@ -57,13 +54,21 @@ _NEWTON_GRAD_TOL = 1e-12
 _NEWTON_HALVINGS = 30
 _NEWTON_MAX_ITERATIONS = 50
 
+#: The oracle's Newton polish stops once its tangent gradient is at most
+#: _NEWTON_GRAD_TOL (in its own scaled units), halves its steps as the fast
+#: path does, and takes at most _ORACLE_MAX_ITERATIONS steps (it needs 3 to
+#: 8). A Newton step no shorter than _ORACLE_LAST_STEP times the Hessian's
+#: smallest curvature must raise f to be taken.
+_ORACLE_MAX_ITERATIONS = 50
+_ORACLE_LAST_STEP = 1e-6
+
 #: Grid steps in radians. Both grids cover polar angles [0, pi/2] only:
 #: f is even in a and in b, and so is g, so every direction's antipode lies
 #: in that hemisphere and the resolution is that of the full sphere. The
 #: fast path's 2 degree b-grid has 180 x 46 = 8,280 nodes and is the start
 #: of its Newton polish. The oracle's 5 degree grid has 73 x 19 = 1,387
-#: nodes per direction, so 1,923,769 objective evaluations per state; its
-#: step is also the first step of its compass search.
+#: nodes per direction, so 1,923,769 objective evaluations per state, and
+#: its best node is the start of the oracle's Newton polish.
 _B_GRID_STEP = 0.035
 _ORACLE_STEP = 0.087
 
@@ -93,10 +98,10 @@ class GgqdResult:
 def _orient(v: np.ndarray) -> np.ndarray:
     """Pick the sign representative: third component >= 0, then first, then second.
 
-    Components within 10 * _REFINE_STEP_TOL (the compass search's accuracy;
-    the Newton polish is more accurate) count as 0.
+    Components within _ORIENT_TOL count as 0, so a maximizer whose
+    component is 0 up to the polish's accuracy keeps one sign.
     """
-    tol = 10.0 * _REFINE_STEP_TOL
+    tol = _ORIENT_TOL
     w = np.array(v, dtype=float)
     flip = w[2] < -tol or (
         abs(w[2]) <= tol and (w[0] < -tol or (abs(w[0]) <= tol and w[1] < 0.0))
@@ -141,38 +146,6 @@ def _grid_monomials() -> tuple[np.ndarray, np.ndarray]:
     mono = direction_monomials(sphere_direction(angles[:, 0], angles[:, 1]))
     mono.setflags(write=False)
     return angles, mono
-
-
-def _refine(fun, start: np.ndarray, step: float) -> np.ndarray:
-    """Compass search for a local maximum of ``fun`` near each row of ``start``.
-
-    ``start`` is (n, d): n independent searches run in lockstep, each with
-    its own step, which begins at ``step``. ``fun`` maps an (n, 3^d, d)
-    array of points to (n, 3^d) values, row k depending only on row k of
-    the points. Each iteration evaluates every row's full 3^d stencil
-    ``x + step * {-1, 0, 1}^d`` in one call; a row moves to its best point
-    if that beats the centre x and otherwise halves its step. A row is done
-    once its centre wins at a step of at most _REFINE_STEP_TOL: it then
-    stays put and, re-evaluated at the same points, repeats that decision,
-    so every row follows exactly the path it would follow alone. The loop
-    ends when every row is done, or after _REFINE_MAX_ITERATIONS
-    iterations. No row moves to a worse point.
-    """
-    x = np.array(start, dtype=float)
-    zero = (0.0,) * x.shape[1]
-    others = [o for o in itertools.product((-1.0, 0.0, 1.0), repeat=len(zero)) if o != zero]
-    # The centre comes first: argmax picks it unless a point beats it
-    # strictly, and ties between other points go to the first in product order.
-    offsets = np.array([zero] + others)
-    h = np.full(len(x), float(step))
-    for _ in range(_REFINE_MAX_ITERATIONS):
-        k = fun(x[:, None, :] + h[:, None, None] * offsets).argmax(axis=1)
-        shrink = (k == 0) & (h > _REFINE_STEP_TOL)
-        if not (k.any() or shrink.any()):
-            break
-        x += h[:, None] * offsets[k]  # offsets[0] is zero: a row that stays adds 0
-        h[shrink] *= 0.5
-    return x
 
 
 def _scaled_data(corrs: list[CorrelationData]):
@@ -364,20 +337,110 @@ def maximize_objective(corr: CorrelationData):
     return _maximize_many([corr])[0]
 
 
-def _oracle_search(corr: CorrelationData):
-    """4-angle grid search plus one compass-search polish of f itself.
+def _oracle_excess(x, y, t, a, b) -> np.ndarray:
+    """f - 1 = (y.b)^2 + (x.a)^2 + (a'Tb)^2 at each pair of rows of ``a`` and ``b``."""
+    yb = b @ y
+    xa = a @ x
+    s = ((a @ t) * b).sum(axis=-1)
+    return yb * yb + xa * xa + s * s
 
-    Both northern hemispheres are gridded at a 5 degree step and f is
-    evaluated at every (a, b) pair, _ORACLE_BLOCK a-rows at a time in one
-    reused buffer, keeping the first best pair; it is polished over all four
-    angles. No step uses the analytic a-reduction.
+
+def _oracle_terms(x, y, t, a, b):
+    """The frames at unit ``a`` and ``b``, and f's tangent gradient (4,) and Riemannian Hessian (4, 4) there.
+
+    With s = a'Tb, f = 1 + (y.b)^2 + (x.a)^2 + s^2 has the gradients
+    grad_a = 2 (x.a) x + 2 s Tb and grad_b = 2 (y.b) y + 2 s T'a, and the
+    Hessian blocks H_aa = 2 xx' + 2 Tb (Tb)', H_bb = 2 yy' + 2 T'a (T'a)' and
+    H_ab = 2 Tb (T'a)' + 2 s T. Both are taken into the tangent planes
+    spanned by the last two rows of each frame, a's two coordinates first;
+    on S^2 x S^2 the a-block loses (a.grad_a) I = 2 ((x.a)^2 + s^2) I and
+    the b-block (b.grad_b) I = 2 ((y.b)^2 + s^2) I.
     """
-    bs, b_angles = _direction_grid()
-    as_, a_angles = _direction_grid()
+    fa, fb = _tangent_frame(np.stack([a, b]))
+    xf, yf = fa @ x, fb @ y
+    m = fa @ t @ fb.T  # m[0, 0] = s, m[1:, 0] and m[0, 1:] the tangent parts of Tb and T'a
+    s = m[0, 0]
+    v = np.concatenate([m[1:, 0], m[0, 1:]])
+    grad = 2.0 * (np.concatenate([xf[0] * xf[1:], yf[0] * yf[1:]]) + s * v)
+    hess = 2.0 * np.outer(v, v)
+    hess[:2, :2] += 2.0 * (np.outer(xf[1:], xf[1:]) - (xf[0] * xf[0] + s * s) * np.eye(2))
+    hess[2:, 2:] += 2.0 * (np.outer(yf[1:], yf[1:]) - (yf[0] * yf[0] + s * s) * np.eye(2))
+    hess[:2, 2:] += 2.0 * s * m[1:, 1:]
+    hess[2:, :2] += 2.0 * s * m[1:, 1:].T
+    return fa, fb, grad, hess
 
-    tb = corr.T @ bs.T
-    xa2 = (as_ @ corr.x) ** 2
-    yb2 = (bs @ corr.y) ** 2 + 1.0
+
+def _oracle_newton(x, y, t, a, b, h):
+    """Safeguarded Riemannian Newton ascent of f on S^2 x S^2 from unit ``a`` and ``b``.
+
+    ``h`` is f - 1 at (a, b). Where the Riemannian Hessian is negative
+    definite the step is the Newton step; elsewhere it is the gradient
+    divided by the larger of the Hessian's spectral radius and the
+    gradient's length. Steps are capped at length 1, and the new point is
+    (normalize(a + t da), normalize(b + t db)) for the longest of
+    t = 1, 1/2, ..., 2^-_NEWTON_HALVINGS that increases h strictly. It
+    stops once the tangent gradient is at most _NEWTON_GRAD_TOL or no t
+    increases h. Near a tangent gradient of 1e-8 a Newton step gains
+    ~1e-16, the rounding of h, so no comparison of values can see it; a
+    Newton step d with |d| <= _ORACLE_LAST_STEP |w|, w the Hessian's
+    eigenvalue nearest 0, gains at least |w| |d|^2 / 2 while the quadratic
+    model errs by O(|d|^3), so such a step is taken unseen as the last one,
+    and h stays the larger value. h never decreases. Returns the final a,
+    b, h and the number of steps, which reaches _ORACLE_MAX_ITERATIONS only
+    if the cap cut it off.
+    """
+    lengths = 0.5 ** np.arange(_NEWTON_HALVINGS + 1)[:, None]
+    steps = 0
+    while steps < _ORACLE_MAX_ITERATIONS:
+        fa, fb, grad, hess = _oracle_terms(x, y, t, a, b)
+        gnorm = float(np.sqrt(grad @ grad))
+        if gnorm <= _NEWTON_GRAD_TOL:
+            break
+        w, v = np.linalg.eigh(hess)
+        newton = w[-1] < 0.0
+        if newton:
+            d = v @ ((v.T @ grad) / -w)
+        else:
+            d = grad / max(-w[0], w[-1], gnorm)
+        length = float(np.sqrt(d @ d))
+        d /= max(length, 1.0)
+        ta = a + lengths * (d[0] * fa[1] + d[1] * fa[2])
+        tb = b + lengths * (d[2] * fb[1] + d[3] * fb[2])
+        ta /= np.sqrt((ta * ta).sum(axis=1))[:, None]
+        tb /= np.sqrt((tb * tb).sum(axis=1))[:, None]
+        ht = _oracle_excess(x, y, t, ta, tb)
+        better = np.flatnonzero(ht > h)
+        if not len(better):
+            if newton and length <= _ORACLE_LAST_STEP * -w[-1]:
+                a, b, h = ta[0], tb[0], max(h, ht[0])
+                steps += 1
+            break
+        k = better[0]
+        a, b, h = ta[k], tb[k], ht[k]
+        steps += 1
+    return a, b, h, steps
+
+
+def _oracle_search(corr: CorrelationData):
+    """4-angle grid search plus one Newton polish of f itself.
+
+    x, y and T are first scaled by 2^-e, the power of two that puts their
+    largest entry in [0.5, 1); f - 1 is homogeneous of degree 2 in them, so
+    f_max = 1 + 4^e max(f - 1) on the scaled data, exactly. Both northern
+    hemispheres are gridded at a 5 degree step and f - 1 is evaluated at
+    every (a, b) pair, _ORACLE_BLOCK a-rows at a time in one reused buffer,
+    keeping the first best pair; _oracle_newton polishes it on both spheres
+    at once. No step uses the analytic a-reduction. Raises
+    NonFiniteResultError if f_max overflows float64.
+    """
+    e = math.frexp(max(np.abs(corr.x).max(), np.abs(corr.y).max(), np.abs(corr.T).max()))[1]
+    x, y, t = np.ldexp(corr.x, -e), np.ldexp(corr.y, -e), np.ldexp(corr.T, -e)
+    bs = _direction_grid()[0]
+    as_ = _direction_grid()[0]
+
+    tb = t @ bs.T
+    xa2 = (as_ @ x) ** 2
+    yb2 = (bs @ y) ** 2
     buf = np.empty((_ORACLE_BLOCK, len(bs)))
     best, ia, ib = -math.inf, 0, 0
     for lo in range(0, len(as_), _ORACLE_BLOCK):
@@ -391,20 +454,16 @@ def _oracle_search(corr: CorrelationData):
         if f[k] > best:
             best, ia, ib = f[k], lo + k[0], k[1]
 
-    def stencil(points):
-        a = sphere_direction(points[..., 2], points[..., 3])
-        b = sphere_direction(points[..., 0], points[..., 1])
-        return objective_rows(corr, a, b)
-
-    start = np.concatenate([b_angles[ib], a_angles[ia]])
-    angles = _refine(stencil, start[None], _ORACLE_STEP)[0]
-    a_star = sphere_direction(angles[2], angles[3])
-    b_star = sphere_direction(angles[0], angles[1])
-    return objective_f(corr, (a_star, b_star)), _orient(a_star), _orient(b_star)
+    a_star, b_star, h, _ = _oracle_newton(x, y, t, as_[ia], bs[ib], best)
+    try:
+        f_max = 1.0 + math.ldexp(h, 2 * e)
+    except OverflowError:
+        raise NonFiniteResultError("f_max overflows float64; the correlation data are too large") from None
+    return f_max, _orient(a_star), _orient(b_star)
 
 
 def brute_force_oracle(corr: CorrelationData) -> float:
-    """Independent check: exhaustive 4-angle hemisphere grid at a 5 degree step, then a polish of f."""
+    """Independent check: exhaustive 4-angle hemisphere grid at a 5 degree step, then a Newton polish of f."""
     return _oracle_search(corr)[0]
 
 
@@ -458,7 +517,7 @@ def ggqd(rho, method: str = "fast") -> GgqdResult:
 
     method:
       fast    exact a-reduction over a cached b-grid with Newton polish
-      oracle  4-angle brute force with compass-search polish only
+      oracle  4-angle brute force with a Newton polish of f only
       both    fast, cross-checked against the oracle (fills oracle_gap)
     """
     return ggqd_many([rho], method)[0]

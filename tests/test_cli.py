@@ -199,6 +199,53 @@ def test_overflowing_data_is_validation_error(tmp_path, capsys, command):
     assert "too large" in captured.err and captured.out == ""
 
 
+def test_oracle_on_large_nonphysical_data(tmp_path, capsys):
+    # the oracle scales its data too: 8e300 with no overflow warning, and exit 2 where f_max overflows
+    code, out = run_cli(["compute", write_large_coherence(tmp_path, 1e150), "--method", "oracle",
+                         "--allow-nonphysical", "--json"], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["f_max"] / 8e300 - 1.0) <= 1e-12
+    code = main(["compute", write_large_coherence(tmp_path, 1e155), "--method", "oracle", "--allow-nonphysical"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "too large" in captured.err and captured.out == ""
+
+
+def test_gap_check_scales_with_large_data(tmp_path, capsys, monkeypatch):
+    # rounding alone puts fast and oracle ~1e285 apart at f_max = 8e300; the limit is 1e-3 m^2
+    import ggqd.cli as cli_mod
+    import ggqd.solver as solver_mod
+
+    path = write_large_coherence(tmp_path, 1e150)
+    code, out = run_cli(["oracle", path, "--allow-nonphysical", "--json"], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["f_max_oracle"] / 8e300 - 1.0) <= 1e-12
+    code, out = run_cli(["compute", path, "--method", "both", "--allow-nonphysical", "--json"], capsys)
+    assert code == 0
+
+    real_oracle = solver_mod.brute_force_oracle
+
+    def skew(factor):
+        monkeypatch.setattr(cli_mod, "brute_force_oracle", lambda corr: real_oracle(corr) * factor)
+        monkeypatch.setattr(solver_mod, "brute_force_oracle", lambda corr: real_oracle(corr) * factor)
+
+    # a disagreement of a few ulps is rounding, not a gap
+    skew(1.0 + 1e-15)
+    code, out = run_cli(["oracle", path, "--allow-nonphysical", "--json"], capsys)
+    assert code == 0 and json.loads(out)["gap"] > 1e285
+    code, out = run_cli(["compute", path, "--method", "both", "--allow-nonphysical", "--json"], capsys)
+    assert code == 0 and json.loads(out)["oracle_gap"] > 1e285
+
+    # a relative disagreement of 1e-2 is still a gap
+    skew(1.01)
+    code, out = run_cli(["oracle", path, "--allow-nonphysical", "--json"], capsys)
+    assert code == 5
+    assert abs(json.loads(out)["gap"] / 8e298 - 1.0) <= 1e-9
+    code, out = run_cli(["compute", path, "--method", "both", "--allow-nonphysical", "--json"], capsys)
+    assert code == 5
+    assert abs(json.loads(out)["oracle_gap"] / 8e298 - 1.0) <= 1e-9
+
+
 def test_grid_step_flags_are_usage_errors(tmp_path, capsys):
     # the grid steps are constants: no flag sets them
     path = write_mixed(tmp_path)

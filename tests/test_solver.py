@@ -34,12 +34,14 @@ import ggqd.solver as solver_mod
 from ggqd.objective import objective_rows, rank2_lambda_max
 from ggqd.solver import (
     _NEWTON_MAX_ITERATIONS,
+    _ORACLE_MAX_ITERATIONS,
     _derivatives,
     _direction_grid,
     _grid_monomials,
     _maximize_many,
-    _refine,
+    _oracle_terms,
     _scaled_data,
+    _tangent_frame,
     _tangent_terms,
 )
 
@@ -123,7 +125,7 @@ def test_oracle_degenerate_optima(family, name, value):
 
 def test_oracle_blocked_grid_matches_full_grid(monkeypatch):
     # with the polish switched off the oracle returns its best grid node
-    monkeypatch.setattr(solver_mod, "_refine", lambda fun, start, step: start)
+    monkeypatch.setattr(solver_mod, "_oracle_newton", lambda x, y, t, a, b, h: (a, b, h, 0))
     bs = _direction_grid()[0]
     for seed in range(3):
         corr = pauli_decompose(random_state(seed))
@@ -401,9 +403,9 @@ def test_newton_polish_optimality_evidence(monkeypatch):
 
 def test_fast_path_runs_no_compass_search(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the fast path called _refine")
+        raise AssertionError("the fast path called the oracle's polish")
 
-    monkeypatch.setattr(solver_mod, "_refine", refuse)
+    monkeypatch.setattr(solver_mod, "_oracle_newton", refuse)
     assert abs(maximize_objective(bell_corr(0.5))[0] - 2.0) <= 1e-12
     assert ggqd_many([random_state(3), random_state(4)])[0].method == "fast"
 
@@ -411,7 +413,8 @@ def test_fast_path_runs_no_compass_search(monkeypatch):
 _TILT = np.array([np.sin(0.01), 0.0, np.cos(0.01)])
 
 
-@pytest.mark.parametrize(
+#: degenerate optima and points where the rank-2 eigenvalue is not smooth, with their f_max
+_DEGENERATE_CASES = pytest.mark.parametrize(
     "corr,f_want",
     [(pauli_decompose(generate_state(StateFamilySpec("werner", {"p": p}))), 1.0 + p * p)
      for p in (0.0, 0.3, 0.7, 1.0)]
@@ -428,8 +431,19 @@ _TILT = np.array([np.sin(0.01), 0.0, np.cos(0.01)])
     ids=["werner-0", "werner-0.3", "werner-0.7", "werner-1", "phi-plus", "maximally-mixed",
          "s0-y-e3", "s0-y-tilted", "s0-at-e2"],
 )
+
+
+@_DEGENERATE_CASES
 def test_fast_path_degenerate_and_nonsmooth_points(corr, f_want):
     f_max, a_star, b_star = maximize_objective(corr)
+    assert abs(f_max - f_want) <= 1e-12
+    assert abs(objective_f(corr, (a_star, b_star)) - f_max) <= 1e-12
+
+
+@_DEGENERATE_CASES
+def test_oracle_degenerate_and_nonsmooth_points(corr, f_want):
+    # a singular Hessian at the maximum: the polish falls back to gradient steps
+    f_max, a_star, b_star = solver_mod._oracle_search(corr)
     assert abs(f_max - f_want) <= 1e-12
     assert abs(objective_f(corr, (a_star, b_star)) - f_max) <= 1e-12
 
@@ -464,66 +478,115 @@ def test_scaling_is_exact():
         assert np.array_equal(a_big, a_star) and np.array_equal(b_big, b_star)
 
 
-def test_refine_never_worse_than_start():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        w = rng.standard_normal(4)
-
-        def bumpy(points):
-            return np.sin(points @ w) + np.cos(3.0 * points[..., 0] * points[..., -1])
-
-        start = rng.uniform(-2.0, 2.0, (1, 4))
-        end = _refine(bumpy, start, 0.3)
-        assert bumpy(end[None])[0] >= bumpy(start[None])[0]
+def exp_pair(a, b, fa, fb, xi):
+    """(a, b) moved along the geodesics of S^2 x S^2 by the tangent vector xi, a's two coordinates first."""
+    moved = []
+    for p, v in ((a, xi[0] * fa[1] + xi[1] * fa[2]), (b, xi[2] * fb[1] + xi[3] * fb[2])):
+        n = np.linalg.norm(v)
+        moved.append(p if n == 0.0 else np.cos(n) * p + np.sin(n) * v / n)
+    return moved
 
 
-def test_refine_stops_on_constant_function():
-    calls = []
+def test_oracle_derivatives_match_geodesic_differences():
+    rng = np.random.default_rng(84)
+    eye = np.eye(4)
+    for seed in range(50):
+        corr = pauli_decompose(random_state(1200 + seed))
+        a, b = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
+        fa, fb, grad, hess = _oracle_terms(corr.x, corr.y, corr.T, a, b)
+        assert np.allclose(hess, hess.T, atol=1e-15, rtol=0.0)
 
-    def flat(points):
-        calls.append(points.shape[1])
-        return np.zeros(points.shape[:2])
+        def along(xi, angle):
+            return float(objective_rows(corr, *exp_pair(a, b, fa, fb, angle * xi)))
 
-    start = np.array([[0.4, -1.3]])
-    assert np.array_equal(_refine(flat, start, 1e-7), start)
-    assert calls == [9]  # one 3^2 stencil: the centre wins at the final step
-    calls.clear()
-    assert np.array_equal(_refine(flat, start, 0.1), start)
-    assert len(calls) == 21  # only halvings: 0.1 / 2^20 <= 1e-7 < 0.1 / 2^19
+        def second(xi, angle=1e-4):
+            return (along(xi, angle) - 2.0 * along(xi, 0.0) + along(xi, -angle)) / angle**2
 
-
-@pytest.mark.parametrize("dim", [2, 4])
-def test_refine_reaches_quadratic_maximum(dim):
-    peak = np.array([0.3, -1.2, 2.05, 0.7])[:dim]
-
-    def quadratic(points):
-        return 5.0 - np.sum((points - peak) ** 2, axis=-1)
-
-    end = _refine(quadratic, np.zeros((1, dim)), 0.5)
-    assert abs(quadratic(end[None])[0] - 5.0) <= 1e-12
+        for i, xi in enumerate(eye):
+            assert abs(grad[i] - (along(xi, 1e-5) - along(xi, -1e-5)) / 2e-5) <= 1e-8
+            assert abs(hess[i, i] - second(xi)) <= 1e-5
+        for i in range(4):
+            for j in range(i + 1, 4):
+                mixed = 0.5 * (second(eye[i] + eye[j]) - hess[i, i] - hess[j, j])
+                assert abs(hess[i, j] - mixed) <= 1e-5
 
 
-def test_refine_rows_match_single_runs():
-    # each row maximizes its own quadratic; the first starts at its peak, so
-    # it only halves its step and is done long before the others
-    peaks = np.array([[0.0, 0.0], [0.3, -1.2], [2.05, 0.7], [-0.9, 1.4]])
-    scales = np.array([1.0, 0.2, 3.0, 0.7])
-    starts = np.array([[0.0, 0.0], [1.0, 1.0], [-0.5, 0.25], [0.1, -0.3]])
+def test_oracle_newton_optimality_evidence(monkeypatch):
+    polish, runs = solver_mod._oracle_newton, []
 
-    def quadratics(rows, calls):
-        def fun(points):
-            calls.append(len(points))
-            return -np.sum(scales[rows, None, None] * (points - peaks[rows, None, :]) ** 2, axis=-1)
-        return fun
+    def recording(x, y, t, a, b, h):
+        out = polish(x, y, t, a, b, h)
+        runs.append((h, out[2], out[3]))
+        return out
 
-    together = _refine(quadratics(np.arange(4), []), starts, 0.25)
-    iterations = []
-    for k in range(4):
-        calls = []
-        alone = _refine(quadratics(np.array([k]), calls), starts[k:k + 1], 0.25)
-        iterations.append(len(calls))
-        assert np.array_equal(together[k], alone[0])
-    assert iterations[0] == min(iterations) < max(iterations)
+    monkeypatch.setattr(solver_mod, "_oracle_newton", recording)
+    for seed in range(200):
+        corr = pauli_decompose(random_state(seed))
+        _, a_star, b_star = solver_mod._oracle_search(corr)
+        h_grid, h_star, steps = runs[-1]
+        assert h_star >= h_grid
+        assert steps < _ORACLE_MAX_ITERATIONS
+        _, _, grad, hess = _oracle_terms(corr.x, corr.y, corr.T, a_star, b_star)
+        assert np.sqrt(grad @ grad) <= 1e-8
+        assert np.linalg.eigvalsh(hess).max() <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [435, 484, 1067, 1414])
+def test_oracle_reaches_the_fast_maximum(seed):
+    # a compass search in four angles stopped at its iteration cap on these
+    # states, up to 3.4e-4 below the maximum
+    corr = pauli_decompose(random_state(seed))
+    assert abs(maximize_objective(corr)[0] - brute_force_oracle(corr)) <= 1e-12
+
+
+def test_tangent_frame_orthonormal():
+    rng = np.random.default_rng(85)
+    b = rng.standard_normal((100, 3))
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    special = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, -0.0], [0.6, -0.8, -0.0]]
+    b = np.concatenate([b, special])
+    frame = _tangent_frame(b)
+    assert np.array_equal(frame[:, 0], b)
+    assert np.allclose(frame @ frame.swapaxes(1, 2), np.eye(3), atol=1e-15, rtol=0.0)
+
+
+def test_oracle_is_independent_of_the_reduction(monkeypatch):
+    corrs = [pauli_decompose(random_state(7)), bell_corr(0.5), pauli_decompose(mixed_state())]
+    want = [brute_force_oracle(corr) for corr in corrs]
+
+    def refuse(*args):
+        raise AssertionError("the oracle called the reduction")
+
+    for name in ("reduced_over_a", "reduced_over_a_monomials", "reduction_coefficients", "direction_monomials",
+                 "_scaled_data", "_derivatives", "_tangent_terms", "_newton_ascent", "_maximize_many"):
+        monkeypatch.setattr(solver_mod, name, refuse)
+    assert [brute_force_oracle(corr) for corr in corrs] == want
+    assert abs(want[1] - 2.0) <= 1e-12 and want[2] == 1.0
+
+
+def test_oracle_scaling_is_exact():
+    # f - 1 is homogeneous of degree 2 in (x, y, T): scaling by 2^k scales the oracle's f_max - 1 by 4^k
+    corr = pauli_decompose(random_state(5))
+    f_max, a_star, b_star = solver_mod._oracle_search(corr)
+    for k in (-600, -30, 30, 500):
+        big = CorrelationData(x=np.ldexp(corr.x, k), y=np.ldexp(corr.y, k), T=np.ldexp(corr.T, k))
+        f_big, a_big, b_big = solver_mod._oracle_search(big)
+        want = np.ldexp(f_max - 1.0, 2 * k)
+        assert abs(f_big - 1.0 - want) <= 1e-15 * max(1.0, want)
+        assert np.array_equal(a_big, a_star) and np.array_equal(b_big, b_star)
+
+
+def test_oracle_overflow_raises():
+    corr = CorrelationData(x=np.zeros(3), y=np.zeros(3), T=np.diag([1e155] * 3))
+    with pytest.raises(NonFiniteResultError, match="too large"):
+        brute_force_oracle(corr)
+
+
+@pytest.mark.parametrize("method", ["fast", "oracle", "both"])
+def test_result_floats_are_python_floats(method):
+    res = ggqd(random_state(6), method=method)
+    assert type(res.ggqd) is float and type(res.f_max) is float and type(res.trace_cc) is float
+    assert type(trace_cc(pauli_decompose(random_state(6)))) is float
 
 
 def test_import_loads_no_scipy():
