@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GgqdError, ParameterOutOfRangeError, StateFormatError
-from .pauli import pauli_decompose
+from .pauli import pauli_decompose, pauli_decompose_stack
 from .qstate import (
     FAMILIES,
     HERMITICITY_TOL,
@@ -27,12 +27,14 @@ from .qstate import (
     TRACE_TOL,
     StateFamilySpec,
     _round12,
+    family_matrix,
     generate_state,
     load_state,
     read_state_matrix,
     save_state,
+    validate_density_stack,
 )
-from .solver import _METHODS, brute_force_oracle, ggqd, ggqd_many, maximize_objective
+from .solver import _METHODS, brute_force_oracle, ggqd, ggqd_bloch, maximize_objective
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -72,14 +74,16 @@ class SweepSpec:
         return [self.start + k * self.step for k in range(n)]
 
 
-def _gap_limit(corr) -> float:
+def _gap_limit(x, y, t):
     """ORACLE_GAP_LIMIT times max(1, m^2), m the largest |entry| of x, y and T.
 
     f - 1 is quadratic in the data, so the rounding of either f_max grows
     like m^2. On physical states m <= 1 and the limit is ORACLE_GAP_LIMIT.
+    Takes one state's x, y and T, or stacked ones, and gives one limit per
+    state.
     """
-    m = float(max(np.abs(corr.x).max(), np.abs(corr.y).max(), np.abs(corr.T).max()))
-    return ORACLE_GAP_LIMIT * max(1.0, m * m)
+    m = np.maximum(np.maximum(np.abs(x).max(axis=-1), np.abs(y).max(axis=-1)), np.abs(t).max(axis=(-2, -1)))
+    return ORACLE_GAP_LIMIT * np.maximum(1.0, m * m)
 
 
 def _fmt(x) -> str:
@@ -131,7 +135,7 @@ def _cmd_compute(args) -> int:
         if res.oracle_gap is not None:
             pairs.append(("oracle_gap", _fmt(res.oracle_gap)))
         _print_kv(pairs)
-    if res.oracle_gap is not None and res.oracle_gap > _gap_limit(corr):
+    if res.oracle_gap is not None and res.oracle_gap > _gap_limit(corr.x, corr.y, corr.T):
         return EXIT_GAP
     return EXIT_OK
 
@@ -146,27 +150,33 @@ def _cmd_sweep(args) -> int:
         method=args.method,
         output_path=args.output,
     )
-    # Every point is generated and decomposed before any solve; only its
-    # Bloch data is kept for the one batched solve.
-    values, corrs = spec.values(), []
+    # The builder runs point by point; everything after it is stacked. The
+    # first point in parameter order that the builder or the validation
+    # rejects is the one reported: the builder stops at its first failure,
+    # and the points before it are validated before that failure is named.
+    values, mats, failure = spec.values(), [], None
     for value in values:
         try:
-            state = generate_state(
-                StateFamilySpec(spec.family, {spec.param_name: value}),
-                allow_nonphysical=args.allow_nonphysical,
-            )
+            mats.append(family_matrix(StateFamilySpec(spec.family, {spec.param_name: value})))
         except GgqdError as exc:
-            print(f"error: {spec.param_name} = {_fmt(value)}: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        corrs.append(pauli_decompose(state))
+            failure = value, exc
+            break
+    if mats:
+        try:
+            stack = validate_density_stack(mats, allow_nonphysical=args.allow_nonphysical)
+        except GgqdError as exc:
+            failure = values[exc.index], exc
+    if failure is not None:
+        value, exc = failure
+        print(f"error: {spec.param_name} = {_fmt(value)}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
+    x, y, t = pauli_decompose_stack(stack)
     lines = [CSV_HEADER]
     first_gap = None
-    for value, corr, res in zip(values, corrs, ggqd_many(corrs, method=spec.method)):
-        if first_gap is None and res.oracle_gap is not None:
-            limit = _gap_limit(corr)
-            if res.oracle_gap > limit:
-                first_gap = (value, res.oracle_gap, limit)
+    for value, res, limit in zip(values, ggqd_bloch(x, y, t, method=spec.method), _gap_limit(x, y, t)):
+        if first_gap is None and res.oracle_gap is not None and res.oracle_gap > limit:
+            first_gap = (value, res.oracle_gap, limit)
         a, b = res.a_star, res.b_star
         lines.append(
             ",".join(
@@ -255,7 +265,7 @@ def _cmd_oracle(args) -> int:
                 ("gap", _fmt(gap)),
             ]
         )
-    return EXIT_OK if gap <= _gap_limit(corr) else EXIT_GAP
+    return EXIT_OK if gap <= _gap_limit(corr.x, corr.y, corr.T) else EXIT_GAP
 
 
 def _cmd_gen(args) -> int:

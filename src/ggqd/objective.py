@@ -14,7 +14,6 @@ over a exact and leaves only b to search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,40 +83,54 @@ def objective_f(corr: CorrelationData, dirs) -> float:
     return float(objective_rows(corr, a, b))
 
 
-def rank2_lambda_max(u, v) -> tuple[float, np.ndarray]:
-    """Top eigenvalue and a unit eigenvector of u u' + v v'.
+def rank2_top(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue (n,) and a unit eigenvector (n, 3) of u u' + v v' for each pair.
+
+    ``uv`` has shape (n, 2, 3): u and v of each pair, in that order.
 
     lambda_max = (|u|^2 + |v|^2 + sqrt((|u|^2 - |v|^2)^2 + 4 (u.v)^2)) / 2.
 
     The eigenvector is alpha u + beta v with (alpha, beta) the top
     eigenvector of [[u.u, u.v], [u.v, v.v]]. When the top eigenvalue is
     degenerate (|u| = |v|, u.v = 0) the normalized u + v direction is
-    returned, falling back to u; the zero form returns e3. u and v are first
-    scaled by a power of two to a largest entry in [0.5, 1), which is exact,
-    so tiny or huge inputs neither underflow nor overflow.
+    returned, falling back to u; the zero form returns e3. Each pair is
+    first scaled by a power of two to a largest entry in [0.5, 1), which is
+    exact, so tiny or huge inputs neither underflow nor overflow; only an
+    eigenvalue beyond float64 does, to inf. Every stacked step treats each
+    pair on its own, so row k is bit for bit the result for pair k alone.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    big = max(np.abs(u).max(), np.abs(v).max())
-    if big == 0.0:
-        return 0.0, np.array([0.0, 0.0, 1.0])
-    e = math.frexp(big)[1]
-    u = np.ldexp(u, -e)
-    v = np.ldexp(v, -e)
-    p = float(u @ u)
-    r = float(v @ v)
-    q = float(u @ v)
-    s = math.hypot(p - r, 2.0 * q)
-    lam = 0.5 * (p + r + s)
+    big = np.abs(uv).max(axis=(1, 2))
+    e = np.frexp(big)[1]
+    uv = np.ldexp(uv, -e[:, None, None])
+    gram = uv @ uv.swapaxes(1, 2)
+    p, q, r = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    pr = p + r
+    s = np.hypot(p - r, 2.0 * q)
+    lam = 0.5 * (pr + s)
 
-    if s > 1e-14 * (p + r):
-        n1 = q * q + (lam - p) ** 2
-        n2 = (lam - r) ** 2 + q * q
-        alpha, beta = (q, lam - p) if n1 >= n2 else (lam - r, q)
-        w = alpha * u + beta * v
-    else:  # degenerate form: every span direction achieves lam
-        w = u + v if np.abs(u + v).max() > 0.0 else u
-    return math.ldexp(lam, 2 * e), w / np.linalg.norm(w)
+    d = lam[:, None] - gram.reshape(-1, 4)[:, ::3]  # lam - p, lam - r
+    n12 = d * d + (q * q)[:, None]
+    first = n12[:, 0] >= n12[:, 1]
+    alpha = np.where(first, q, d[:, 1])
+    beta = np.where(first, d[:, 0], q)
+    w = alpha[:, None] * uv[:, 0] + beta[:, None] * uv[:, 1]
+    split = s > 1e-14 * pr
+    if np.count_nonzero(split) < len(split):  # degenerate form: every span direction achieves lam
+        both = uv[:, 0] + uv[:, 1]
+        tie = np.where((np.abs(both).max(axis=1) > 0.0)[:, None], both, uv[:, 0])
+        w = np.where(split[:, None], w, tie)
+        w[big == 0.0] = (0.0, 0.0, 1.0)
+    w /= np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0])
+    return np.ldexp(lam, 2 * e), w
+
+
+def rank2_lambda_max(u, v) -> tuple[float, np.ndarray]:
+    """Top eigenvalue and a unit eigenvector of u u' + v v'; see rank2_top.
+
+    A batch of one through rank2_top.
+    """
+    lam, w = rank2_top(np.array([[u, v]], dtype=float))
+    return float(lam[0]), w[0]
 
 
 def reduced_over_a(corr: CorrelationData, b) -> tuple[float, np.ndarray]:

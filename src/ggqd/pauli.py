@@ -46,6 +46,23 @@ class CorrelationData:
             object.__setattr__(self, name, arr)
 
 
+def pauli_decompose_stack(ms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x (n, 3), y (n, 3) and T (n, 3, 3) of every matrix of an (n, 4, 4) stack.
+
+    One einsum against the Pauli basis, with no checks: the stack is taken
+    as given, for example from validate_density_stack. The coefficients are
+    the real parts of Tr(rho sigma_m x sigma_n); each matrix's are computed
+    on their own, so they are bit for bit those of a stack of that matrix
+    alone. The three arrays are C-contiguous.
+    """
+    c = np.einsum("kij,mnji->kmn", ms, _BASIS).real
+    return (
+        np.ascontiguousarray(c[:, 1:, 0]),
+        np.ascontiguousarray(c[:, 0, 1:]),
+        np.ascontiguousarray(c[:, 1:, 1:]),
+    )
+
+
 def pauli_decompose(rho) -> CorrelationData:
     """Extract (x, y, T) from a density matrix.
 
@@ -53,12 +70,13 @@ def pauli_decompose(rho) -> CorrelationData:
     ``validate_density(m, allow_nonphysical=True)``, so it must be finite,
     Hermitian and of unit trace. The coefficients are the real parts of
     Tr(rho sigma_m x sigma_n), which equal those of the Hermitian part of
-    the input, so imaginary parts of the traces are discarded.
+    the input, so imaginary parts of the traces are discarded. A stack of
+    one through pauli_decompose_stack.
     """
     if not isinstance(rho, DensityMatrix):
         rho = validate_density(rho, allow_nonphysical=True)
-    c = np.einsum("ij,mnji->mn", rho.entries, _BASIS).real
-    return CorrelationData(x=c[1:, 0], y=c[0, 1:], T=c[1:, 1:])
+    x, y, t = pauli_decompose_stack(rho.entries[None])
+    return CorrelationData(x=x[0], y=y[0], T=t[0])
 
 
 def reconstruct_density(corr: CorrelationData) -> DensityMatrix:
@@ -77,10 +95,29 @@ def correlation_matrix(corr: CorrelationData) -> np.ndarray:
     return 0.5 * np.block([[np.ones((1, 1)), corr.y[None, :]], [corr.x[:, None], corr.T]])
 
 
+def _row_dots(u: np.ndarray) -> np.ndarray:
+    """u_k . u_k for each row k of an (n, m) array, as ``u[k] @ u[k]`` computes it.
+
+    A stacked matmul runs the same dot product per row as the 1-D ``@``,
+    where an elementwise sum or einsum may round differently.
+    """
+    return np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0]
+
+
+def trace_cc_stack(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """trace_cc of stacked Bloch data: x (n, 3), y (n, 3) and T (n, 3, 3).
+
+    inf, without a warning, wherever the sum overflows float64.
+    """
+    with np.errstate(over="ignore"):
+        tt = (t * t).reshape(len(t), 9).sum(axis=1)  # summed in the order of np.sum over one T
+        return 0.25 * (1.0 + _row_dots(x) + _row_dots(y) + tt)
+
+
 def trace_cc(corr: CorrelationData) -> float:
     """Squared Frobenius norm of C: (1 + |x|^2 + |y|^2 + |T|_F^2) / 4.
 
     A Python float; inf, without a warning, when the sum overflows float64.
+    A stack of one through trace_cc_stack.
     """
-    with np.errstate(over="ignore"):
-        return float(0.25 * (1.0 + corr.x @ corr.x + corr.y @ corr.y + float(np.sum(corr.T * corr.T))))
+    return float(trace_cc_stack(corr.x[None], corr.y[None], corr.T[None])[0])

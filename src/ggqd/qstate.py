@@ -95,12 +95,64 @@ class StateFamilySpec:
         object.__setattr__(self, "parameters", {str(k).lower(): float(v) for k, v in self.parameters.items()})
 
 
+def _checked_min_eigenvalues(arr: np.ndarray, allow_nonphysical: bool) -> np.ndarray:
+    """Run the density-matrix checks on an (n, 4, 4) complex stack, all at once.
+
+    Returns each matrix's smallest eigenvalue (of its Hermitian part's lower
+    triangle, as eigvalsh reads it). The first matrix that fails a check
+    raises, and it raises what validate_density documents: for that matrix,
+    the first failing check in the order finite, Hermitian, unit trace,
+    positive semidefinite. Its position in the stack is the exception's
+    ``index`` attribute.
+    """
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    safe = arr if np.count_nonzero(finite) == len(arr) else np.where(finite[:, None, None], arr, 0.0)
+    herm_dev = np.abs(safe - safe.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    trace_dev = np.abs(safe.trace(axis1=1, axis2=2) - 1.0)
+    min_eig = np.linalg.eigvalsh(safe)[:, 0]
+    bad = ~finite | (herm_dev > HERMITICITY_TOL) | (trace_dev > TRACE_TOL)
+    if not allow_nonphysical:
+        bad |= min_eig < -PSD_TOL
+    if not np.count_nonzero(bad):
+        return min_eig
+    k = int(np.argmax(bad))
+    if not finite[k]:
+        exc = ValueError("matrix entries must be finite")
+    elif herm_dev[k] > HERMITICITY_TOL:
+        exc = NonHermitianError(
+            f"maximum Hermiticity violation {herm_dev[k]:.6e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+    elif trace_dev[k] > TRACE_TOL:
+        exc = TraceNotOneError(f"|trace - 1| = {trace_dev[k]:.6e} exceeds {TRACE_TOL:.0e}")
+    else:
+        exc = NotPositiveError(f"smallest eigenvalue {min_eig[k]:.6e} below -{PSD_TOL:.0e}")
+    exc.index = k
+    raise exc
+
+
+def validate_density_stack(ms, allow_nonphysical: bool = False) -> np.ndarray:
+    """Check every matrix of an (n, 4, 4) stack against the density-matrix contract at once.
+
+    The checks, tolerances and errors are validate_density's, run stacked
+    (one eigvalsh for the whole stack). Returns the stack as one complex
+    array. The first matrix that fails raises exactly what validate_density
+    raises for it, with its position in the stack as the exception's
+    ``index`` attribute.
+    """
+    arr = np.asarray(ms, dtype=complex)
+    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
+        raise ValueError(f"expected an (n, 4, 4) stack of matrices, got shape {arr.shape}")
+    _checked_min_eigenvalues(arr, allow_nonphysical)
+    return arr
+
+
 def validate_density(m, allow_nonphysical: bool = False) -> DensityMatrix:
     """Check a 4x4 array against the density-matrix contract.
 
     Hermiticity and unit trace are always enforced. Positive semidefiniteness
     is enforced unless ``allow_nonphysical`` is True, in which case a failing
     matrix is accepted with ``physical_flag=False`` and a diagnostic attached.
+    A stack of one through the checks of validate_density_stack.
 
     Raises
     ------
@@ -110,21 +162,8 @@ def validate_density(m, allow_nonphysical: bool = False) -> DensityMatrix:
     arr = np.asarray(m, dtype=complex)
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
-    if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
-        raise ValueError("matrix entries must be finite")
-
-    herm_dev = float(np.abs(arr - arr.conj().T).max())
-    if herm_dev > HERMITICITY_TOL:
-        raise NonHermitianError(f"maximum Hermiticity violation {herm_dev:.6e} exceeds {HERMITICITY_TOL:.0e}")
-
-    trace_dev = float(abs(arr.trace() - 1.0))
-    if trace_dev > TRACE_TOL:
-        raise TraceNotOneError(f"|trace - 1| = {trace_dev:.6e} exceeds {TRACE_TOL:.0e}")
-
-    min_eig = float(np.linalg.eigvalsh(arr)[0])
+    min_eig = float(_checked_min_eigenvalues(arr[None], allow_nonphysical)[0])
     if min_eig < -PSD_TOL:
-        if not allow_nonphysical:
-            raise NotPositiveError(f"smallest eigenvalue {min_eig:.6e} below -{PSD_TOL:.0e}")
         return DensityMatrix(
             arr,
             physical_flag=False,
@@ -235,6 +274,19 @@ _BUILDERS = {
 }
 
 
+def family_matrix(spec: StateFamilySpec) -> np.ndarray:
+    """The 4x4 matrix of a member of a named state family, not yet validated.
+
+    Raises
+    ------
+    UnknownFamilyError, ParameterOutOfRangeError, ProbabilitiesNotNormalizedError
+    """
+    builder = _BUILDERS.get(spec.family)
+    if builder is None:
+        raise UnknownFamilyError(f"unknown family '{spec.family}'; known: {', '.join(FAMILIES)}")
+    return builder(spec)
+
+
 def generate_state(spec: StateFamilySpec, allow_nonphysical: bool = False) -> DensityMatrix:
     """Build a member of a named state family.
 
@@ -246,10 +298,7 @@ def generate_state(spec: StateFamilySpec, allow_nonphysical: bool = False) -> De
     ------
     UnknownFamilyError, ParameterOutOfRangeError, ProbabilitiesNotNormalizedError
     """
-    builder = _BUILDERS.get(spec.family)
-    if builder is None:
-        raise UnknownFamilyError(f"unknown family '{spec.family}'; known: {', '.join(FAMILIES)}")
-    return validate_density(builder(spec), allow_nonphysical=allow_nonphysical)
+    return validate_density(family_matrix(spec), allow_nonphysical=allow_nonphysical)
 
 
 def local_unitary_conjugate(rho: DensityMatrix, uA, uB) -> DensityMatrix:

@@ -6,14 +6,18 @@ best node with a safeguarded Riemannian Newton ascent of g on the sphere,
 from the closed-form gradient and Hessian of the rank-2 eigenvalue; the
 a-maximizer is then exact at the polished b. The data are first scaled by
 a power of two, which g - 1 follows exactly, so huge or tiny data neither
-overflow nor underflow. It is batched: the grid and its monomials are
-built once, each state's grid costs one small matrix product against the
-monomials, and the polishes of all states run in lockstep; one state is a
-batch of one. The brute force oracle grids all four angles and polishes
-the best pair with a safeguarded Riemannian Newton ascent of f itself on
-the product of the two spheres, from f's own gradient and Hessian. It
-evaluates f directly and never touches the analytic reduction, so the two
-routes are independent; it scales its data by a power of two of its own.
+overflow nor underflow. It is batched on stacked Bloch data x (n, 3),
+y (n, 3) and T (n, 3, 3): the grid and its monomials are built once, each
+state's grid costs one small matrix product against the monomials, the
+polishes of all states run in lockstep, and every a-maximizer and
+trace_cc comes from one stacked array operation. One state is a batch of
+one, and every stacked step treats each state on its own, so a state's
+result does not depend on its batch. The brute force oracle grids all
+four angles and polishes the best pair with a safeguarded Riemannian
+Newton ascent of f itself on the product of the two spheres, from f's own
+gradient and Hessian. It evaluates f directly and never touches the
+analytic reduction, so the two routes are independent; it scales its data
+by a power of two of its own.
 Since f(-a, b) = f(a, -b) = f(a, b), the oracle grids only the northern
 hemisphere of each sphere, and it evaluates that grid one fixed block of
 a-rows at a time into one reused buffer. On X states (T diagonal, x and y
@@ -34,12 +38,13 @@ import numpy as np
 from .errors import NonFiniteResultError
 from .objective import (
     direction_monomials,
-    reduced_over_a,
+    rank2_top,
     reduced_over_a_monomials,
     reduction_coefficients,
     sphere_direction,
 )
-from .pauli import CorrelationData, pauli_decompose, trace_cc
+from .pauli import CorrelationData, pauli_decompose_stack, trace_cc_stack
+from .qstate import DensityMatrix, validate_density
 
 _METHODS = ("fast", "oracle", "both")
 
@@ -49,18 +54,22 @@ _ORIENT_TOL = 1e-6
 #: The fast path's Newton polish stops a state once its tangent gradient is
 #: at most _NEWTON_GRAD_TOL (in the scaled units of _scaled_data), tries
 #: each step at full length and halved up to _NEWTON_HALVINGS times, and
-#: takes at most _NEWTON_MAX_ITERATIONS steps (it needs 2 to 5).
+#: takes at most _NEWTON_MAX_ITERATIONS steps (it needs 2 to 5). In both
+#: polishes a Newton step no shorter than _NEWTON_LAST_STEP times the
+#: Hessian's smallest curvature must raise the objective to be taken.
 _NEWTON_GRAD_TOL = 1e-12
 _NEWTON_HALVINGS = 30
 _NEWTON_MAX_ITERATIONS = 50
+_NEWTON_LAST_STEP = 1e-6
+#: The trial step lengths 1, 1/2, ..., 2^-_NEWTON_HALVINGS, and the 2x2 identity.
+_STEP_LENGTHS = 0.5 ** np.arange(_NEWTON_HALVINGS + 1)
+_EYE2 = np.eye(2)
 
 #: The oracle's Newton polish stops once its tangent gradient is at most
 #: _NEWTON_GRAD_TOL (in its own scaled units), halves its steps as the fast
 #: path does, and takes at most _ORACLE_MAX_ITERATIONS steps (it needs 3 to
-#: 8). A Newton step no shorter than _ORACLE_LAST_STEP times the Hessian's
-#: smallest curvature must raise f to be taken.
+#: 8).
 _ORACLE_MAX_ITERATIONS = 50
-_ORACLE_LAST_STEP = 1e-6
 
 #: Grid steps in radians. Both grids cover polar angles [0, pi/2] only:
 #: f is even in a and in b, and so is g, so every direction's antipode lies
@@ -96,17 +105,15 @@ class GgqdResult:
 
 
 def _orient(v: np.ndarray) -> np.ndarray:
-    """Pick the sign representative: third component >= 0, then first, then second.
+    """Pick the sign representative of each vector along the last axis.
 
+    The third component is made >= 0, then the first, then the second.
     Components within _ORIENT_TOL count as 0, so a maximizer whose
     component is 0 up to the polish's accuracy keeps one sign.
     """
-    tol = _ORIENT_TOL
-    w = np.array(v, dtype=float)
-    flip = w[2] < -tol or (
-        abs(w[2]) <= tol and (w[0] < -tol or (abs(w[0]) <= tol and w[1] < 0.0))
-    )
-    return -w if flip else w
+    big = abs(v) > _ORIENT_TOL
+    key = np.where(big[..., 2], v[..., 2], np.where(big[..., 0], v[..., 0], v[..., 1]))
+    return v * np.where(key < 0.0, -1.0, 1.0)[..., None]
 
 
 def _grid_angles(step: float) -> np.ndarray:
@@ -135,21 +142,21 @@ def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _grid_monomials() -> tuple[np.ndarray, np.ndarray]:
-    """The b-grid's angle pairs and the direction_monomials of its directions, read-only.
+def _grid_monomials() -> np.ndarray:
+    """The direction_monomials of the b-grid's directions, read-only.
 
-    Built on first use. The monomials are one contiguous (9, m) array; its
-    last three rows are the directions themselves, so unlike
-    _direction_grid no separate vectors are kept.
+    Built on first use. One contiguous (9, m) array; its last three rows
+    are the directions themselves, so unlike _direction_grid no separate
+    vectors are kept.
     """
     angles = _grid_angles(_B_GRID_STEP)
     mono = direction_monomials(sphere_direction(angles[:, 0], angles[:, 1]))
     mono.setflags(write=False)
-    return angles, mono
+    return mono
 
 
-def _scaled_data(corrs: list[CorrelationData]):
-    """The fast path's data for each state, stacked, after an exact scaling.
+def _scaled_data(x: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """The fast path's data for stacked x (n, 3), y (n, 3) and T (n, 3, 3), after an exact scaling.
 
     Each state's x, y and T are scaled by 2^-e, the power of two that puts
     their largest entry in [0.5, 1). g - 1 is homogeneous of degree 2 in
@@ -158,9 +165,6 @@ def _scaled_data(corrs: list[CorrelationData]):
     e (n,), the columns [K | c | y] (n, 3, 5) with K = T'T and c = T'x, and
     p = |x|^2 (n,).
     """
-    x = np.array([c.x for c in corrs])
-    y = np.array([c.y for c in corrs])
-    t = np.array([c.T for c in corrs])
     big = np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1))
     e = np.frexp(np.maximum(big, np.abs(t).max(axis=(1, 2))))[1]
     x = np.ldexp(x, -e[:, None])
@@ -235,7 +239,7 @@ def _tangent_terms(kcy: np.ndarray, p: np.ndarray, b: np.ndarray):
     Euclidean one minus (b.grad g) I.
     """
     frame, grad, hess = _derivatives(kcy, p, b)
-    return frame, grad[:, 1:], hess[:, 1:, 1:] - grad[:, 0, None, None] * np.eye(2)
+    return frame, grad[:, 1:], hess[:, 1:, 1:] - grad[:, 0, None, None] * _EYE2
 
 
 def _newton_ascent(kcy, p, coef, b, h):
@@ -251,23 +255,29 @@ def _newton_ascent(kcy, p, coef, b, h):
     that increases h strictly is taken. A row is done once its tangent
     gradient is at most _NEWTON_GRAD_TOL, or no t increases h: near a
     tangent gradient of 1e-8 a Newton step gains ~1e-16, the rounding of
-    h. A done row stays put, so every row follows exactly the path it
-    would follow alone, and h never decreases. Returns the final b, h and
-    each row's number of steps, which reaches _NEWTON_MAX_ITERATIONS only
-    if the cap cut it off.
+    h. Such a row still takes its Newton step d, unseen and as its last
+    one, if |d| <= _NEWTON_LAST_STEP det / |trace| of the Hessian, a lower
+    bound on |w| for w its eigenvalue nearest 0: the step gains at least
+    |w| |d|^2 / 2 while the quadratic model errs by O(|d|^3); h keeps the
+    larger value. A done row stays put, so every row follows exactly the
+    path it would follow alone, and h never decreases. Returns the final
+    b, h and each row's number of steps, which reaches
+    _NEWTON_MAX_ITERATIONS only if the cap cut it off.
     """
     b, h = b.copy(), h.copy()
     steps = np.zeros(len(b), dtype=int)
-    t = 0.5 ** np.arange(_NEWTON_HALVINGS + 1)
+    t = _STEP_LENGTHS
     active = np.arange(len(b))
     for _ in range(_NEWTON_MAX_ITERATIONS):
-        bk = b[active]
-        frame, grad, hess = _tangent_terms(kcy[active], p[active], bk)
+        # while every row is active, views in place of fancy-indexed copies
+        sel = slice(None) if len(active) == len(b) else active
+        bk = b[sel]
+        frame, grad, hess = _tangent_terms(kcy[sel], p[sel], bk)
         g1, g2 = grad[:, 0], grad[:, 1]
         h11, h12, h22 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
         gnorm = np.hypot(g1, g2)
         live = gnorm > _NEWTON_GRAD_TOL
-        if not live.any():
+        if not np.count_nonzero(live):
             break
         det = h11 * h22 - h12 * h12
         newton = (h11 < 0.0) & (det > 0.0)
@@ -276,13 +286,23 @@ def _newton_ascent(kcy, p, coef, b, h):
         bound = np.maximum(np.maximum(abs(h11), abs(h22)) + abs(h12), np.maximum(gnorm, _NEWTON_GRAD_TOL))
         d1 = np.where(newton, (h12 * g2 - h22 * g1) / det, g1 / bound)
         d2 = np.where(newton, (h12 * g1 - h11 * g2) / det, g2 / bound)
-        cap = 1.0 / np.maximum(np.hypot(d1, d2), 1.0)
+        length = np.hypot(d1, d2)
+        cap = 1.0 / np.maximum(length, 1.0)
         step = (d1 * cap)[:, None] * frame[:, 1] + (d2 * cap)[:, None] * frame[:, 2]
         trial = bk[:, None, :] + t[None, :, None] * step[:, None, :]
         trial /= np.sqrt((trial * trial).sum(axis=2))[..., None]
-        ht = reduced_over_a_monomials(coef[active], p[active, None], direction_monomials(trial))
-        better = ht > h[active, None]
+        ht = reduced_over_a_monomials(coef[sel], p[sel, None], direction_monomials(trial))
+        better = ht > h[sel, None]
         moved = live & better.any(axis=1)
+        stuck = live ^ moved
+        if np.count_nonzero(stuck):
+            # |d| |trace| <= _NEWTON_LAST_STEP det, as trace < 0 on Newton rows
+            last = stuck & newton & (length * (h11 + h22) >= -_NEWTON_LAST_STEP * det)
+            if np.count_nonzero(last):
+                done = active[last]
+                b[done] = trial[last, 0]
+                h[done] = np.maximum(h[done], ht[last, 0])
+                steps[done] += 1
         k = better.argmax(axis=1)[moved]
         active = active[moved]
         b[active] = trial[moved, k]
@@ -293,37 +313,34 @@ def _newton_ascent(kcy, p, coef, b, h):
     return b, h, steps
 
 
-def _maximize_many(corrs: list[CorrelationData]) -> list[tuple]:
-    """maximize_objective for each of ``corrs``, as one batch.
+def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """maximize_objective for stacked x (n, 3), y (n, 3) and T (n, 3, 3), as one batch.
 
     Each state's grid is evaluated on its own, through the cached grid
-    monomials; the Newton polishes then run in lockstep. Row k of the
-    result is bit for bit what a batch of corrs[k] alone returns. Raises
-    NonFiniteResultError if an f_max overflows float64.
+    monomials; the Newton polishes then run in lockstep, and a_star, the
+    exact top eigenvector at each final b, comes from one rank2_top call.
+    Returns f_max (n,), a_star (n, 3) and b_star (n, 3), both oriented by
+    _orient. Row k is bit for bit what a batch of state k alone returns.
+    Raises NonFiniteResultError if an f_max overflows float64.
     """
-    if not corrs:
-        return []
-    _, mono = _grid_monomials()
-    e, kcy, p = _scaled_data(corrs)
+    mono = _grid_monomials()
+    e, kcy, p = _scaled_data(x, y, t)
     coef = reduction_coefficients(kcy[:, :, :3], kcy[:, :, 3], kcy[:, :, 4])
-    start = np.empty((len(corrs), 3))
-    h = np.empty(len(corrs))
-    for k in range(len(corrs)):
+    start = np.empty((len(x), 3))
+    h = np.empty(len(x))
+    for k in range(len(x)):
         values = reduced_over_a_monomials(coef[k], p[k], mono)
         node = int(np.argmax(values))
         start[k], h[k] = mono[6:, node], values[node]
     b, h, _ = _newton_ascent(kcy, p, coef, start, h)
 
-    out = []
-    for corr, b_star, h_star, e_k in zip(corrs, b, h, e):
-        try:
-            f_max = 1.0 + math.ldexp(h_star, 2 * int(e_k))
-        except OverflowError:
-            msg = "f_max overflows float64; the correlation data are too large"
-            raise NonFiniteResultError(msg) from None
-        a_star = reduced_over_a(corr, b_star)[1]
-        out.append((f_max, _orient(a_star), _orient(b_star)))
-    return out
+    with np.errstate(over="ignore"):
+        f_max = 1.0 + np.ldexp(h, 2 * e)
+    if np.count_nonzero(f_max == math.inf):
+        raise NonFiniteResultError("f_max overflows float64; the correlation data are too large")
+    a = rank2_top(np.concatenate([x[:, None, :], (t @ b[:, :, None]).swapaxes(1, 2)], axis=1))[1]
+    ab = _orient(np.concatenate([a[:, None, :], b[:, None, :]], axis=1))
+    return f_max, ab[:, 0], ab[:, 1]
 
 
 def maximize_objective(corr: CorrelationData):
@@ -334,7 +351,8 @@ def maximize_objective(corr: CorrelationData):
     ascent on the sphere, and a_star is the exact top eigenvector at the
     final b. A batch of one through the batched solve.
     """
-    return _maximize_many([corr])[0]
+    f_max, a_star, b_star = _maximize_many(corr.x[None], corr.y[None], corr.T[None])
+    return float(f_max[0]), a_star[0], b_star[0]
 
 
 def _oracle_excess(x, y, t, a, b) -> np.ndarray:
@@ -382,7 +400,7 @@ def _oracle_newton(x, y, t, a, b, h):
     stops once the tangent gradient is at most _NEWTON_GRAD_TOL or no t
     increases h. Near a tangent gradient of 1e-8 a Newton step gains
     ~1e-16, the rounding of h, so no comparison of values can see it; a
-    Newton step d with |d| <= _ORACLE_LAST_STEP |w|, w the Hessian's
+    Newton step d with |d| <= _NEWTON_LAST_STEP |w|, w the Hessian's
     eigenvalue nearest 0, gains at least |w| |d|^2 / 2 while the quadratic
     model errs by O(|d|^3), so such a step is taken unseen as the last one,
     and h stays the larger value. h never decreases. Returns the final a,
@@ -411,7 +429,7 @@ def _oracle_newton(x, y, t, a, b, h):
         ht = _oracle_excess(x, y, t, ta, tb)
         better = np.flatnonzero(ht > h)
         if not len(better):
-            if newton and length <= _ORACLE_LAST_STEP * -w[-1]:
+            if newton and length <= _NEWTON_LAST_STEP * -w[-1]:
                 a, b, h = ta[0], tb[0], max(h, ht[0])
                 steps += 1
             break
@@ -467,46 +485,88 @@ def brute_force_oracle(corr: CorrelationData) -> float:
     return _oracle_search(corr)[0]
 
 
+def _bloch_stack(states):
+    """Stacked x (n, 3), y (n, 3) and T (n, 3, 3) of ``states``, as ggqd_many takes them.
+
+    CorrelationData are taken as they are, bare arrays are validated as
+    pauli_decompose validates them, and all matrices are decomposed by one
+    einsum.
+    """
+    n = len(states)
+    x, y, t = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3, 3))
+    rows, mats = [], []
+    for k, state in enumerate(states):
+        if isinstance(state, CorrelationData):
+            x[k], y[k], t[k] = state.x, state.y, state.T
+        else:
+            rows.append(k)
+            if not isinstance(state, DensityMatrix):
+                state = validate_density(state, allow_nonphysical=True)
+            mats.append(state.entries)
+    if mats:
+        if len(mats) == n:
+            return pauli_decompose_stack(np.array(mats))
+        x[rows], y[rows], t[rows] = pauli_decompose_stack(np.array(mats))
+    return x, y, t
+
+
+def ggqd_bloch(x, y, t, method: str = "fast") -> list[GgqdResult]:
+    """Geometric global quantum discord of stacked Bloch data, solved as one batch.
+
+    ``x`` and ``y`` are (n, 3) and ``t`` is (n, 3, 3), for example from
+    pauli_decompose_stack. The fast path (also under ``both``) evaluates
+    each state's b-grid on its own, polishes all states in lockstep and
+    recovers every a_star and trace_cc with stacked array operations;
+    ``oracle`` and the oracle half of ``both`` run state by state on a
+    CorrelationData each. See :func:`ggqd` for the methods. Raises
+    NonFiniteResultError if an f_max or trace_cc overflows float64.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method '{method}'; expected one of {_METHODS}")
+    if not len(x):
+        return []
+    x, y, t = (np.ascontiguousarray(v, dtype=float) for v in (x, y, t))
+
+    if method == "oracle":
+        solved = [_oracle_search(CorrelationData(*data)) for data in zip(x, y, t)]
+        f_max = np.array([f for f, _, _ in solved])
+        a_star = np.array([a for _, a, _ in solved])
+        b_star = np.array([b for _, _, b in solved])
+    else:
+        f_max, a_star, b_star = _maximize_many(x, y, t)
+
+    tcc = trace_cc_stack(x, y, t)
+    if np.count_nonzero(tcc == math.inf):  # both solvers raise where f_max overflows
+        k = int(np.argmax(tcc))
+        raise NonFiniteResultError(
+            f"f_max = {f_max[k]:.6g} and trace_cc = {tcc[k]:.6g}: the correlation data are too large"
+        )
+    gaps = [None] * len(x)
+    if method == "both":
+        gaps = [abs(f - brute_force_oracle(CorrelationData(*data)))
+                for f, data in zip(f_max.tolist(), zip(x, y, t))]
+    name = "oracle" if method == "oracle" else "fast"
+    # each result owns its vectors, rather than views that keep the whole batch alive
+    return [
+        GgqdResult(
+            ggqd=g, f_max=f, a_star=a.copy(), b_star=b.copy(), trace_cc=c, method=name, oracle_gap=gap
+        )
+        for g, f, a, b, c, gap in zip(
+            (tcc - 0.25 * f_max).tolist(), f_max.tolist(), a_star, b_star, tcc.tolist(), gaps
+        )
+    ]
+
+
 def ggqd_many(states, method: str = "fast") -> list[GgqdResult]:
     """Geometric global quantum discord of each state, solved as one batch.
 
     Each state is a DensityMatrix, a bare 4x4 array (validated as in
     pauli_decompose) or its CorrelationData. Result k is bit for bit
-    ``ggqd(states[k], method)``. The fast path (also under ``both``)
-    evaluates each state's b-grid on its own and polishes all states in
-    lockstep; ``oracle`` and the oracle half of ``both`` run state by
-    state. See :func:`ggqd` for the methods. Raises NonFiniteResultError
-    if f_max or trace_cc overflows float64.
+    ``ggqd(states[k], method)``: the states' Bloch data are stacked and
+    solved by ggqd_bloch, and every stacked step treats each state on its
+    own. Raises NonFiniteResultError if f_max or trace_cc overflows float64.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method '{method}'; expected one of {_METHODS}")
-    corrs = [s if isinstance(s, CorrelationData) else pauli_decompose(s) for s in states]
-
-    if method == "oracle":
-        solved, name = [_oracle_search(c) for c in corrs], "oracle"
-    else:
-        solved, name = _maximize_many(corrs), "fast"
-
-    results = []
-    for corr, (f_max, a_star, b_star) in zip(corrs, solved):
-        tcc = trace_cc(corr)
-        if not (math.isfinite(f_max) and math.isfinite(tcc)):
-            raise NonFiniteResultError(
-                f"f_max = {f_max:.6g} and trace_cc = {tcc:.6g}: the correlation data are too large"
-            )
-        gap = abs(f_max - brute_force_oracle(corr)) if method == "both" else None
-        results.append(
-            GgqdResult(
-                ggqd=tcc - 0.25 * f_max,
-                f_max=f_max,
-                a_star=a_star,
-                b_star=b_star,
-                trace_cc=tcc,
-                method=name,
-                oracle_gap=gap,
-            )
-        )
-    return results
+    return ggqd_bloch(*_bloch_stack(states), method)
 
 
 def ggqd(rho, method: str = "fast") -> GgqdResult:

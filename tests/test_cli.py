@@ -387,6 +387,25 @@ def test_sweep_names_invalid_point(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "start,stop,named,message",
+    [
+        # c3 = 0.5 and 1 fail validation, c3 = 1.5 fails the builder: the first point is named
+        ("0.5", "1.5", "c3 = 0.5:", "smallest eigenvalue"),
+        ("1.5", "2", "c3 = 1.5:", "outside [-1, 1]"),
+        ("0", "1.5", "c3 = 0.5:", "smallest eigenvalue"),
+    ],
+)
+def test_sweep_names_first_failing_point(tmp_path, capsys, start, stop, named, message):
+    out_csv = tmp_path / "bad.csv"
+    code = main(["sweep", "bell-mixture", "c3", "--from", start, "--to", stop, "--step", "0.5",
+                 "-o", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and f"error: {named} " in err and message in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
     "family,param,start,stop,step,flags",
     [
         ("werner", "p", 0.0, 1.0, 0.1, []),

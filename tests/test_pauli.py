@@ -15,6 +15,7 @@ from ggqd import (
     trace_cc,
     validate_density,
 )
+from ggqd.pauli import pauli_decompose_stack, trace_cc_stack
 
 
 def bell_mixture(c3):
@@ -168,3 +169,35 @@ def test_decompose_bare_array_waives_only_positivity():
         pauli_decompose(np.ones((4, 4)))
     bare = pauli_decompose(bell_mixture(0.5).entries)  # not positive semidefinite
     assert np.array_equal(bare.T, pauli_decompose(bell_mixture(0.5)).T)
+
+
+def family_states():
+    """A member of every family, at its defaults and at other parameter values."""
+    specs = [StateFamilySpec(f) for f in ("werner", "classical_classical", "pure_product", "bell_phi_plus",
+                                          "x_state", "random")]
+    specs += [StateFamilySpec("werner", {"p": p}) for p in (0.1, 0.5, 1.0)]
+    specs += [StateFamilySpec("classical_classical", {"p00": 0.7, "p01": 0.1, "p10": 0.1, "p11": 0.1})]
+    specs += [StateFamilySpec("pure_product", {"theta_a": 0.3, "phi_a": 1.1, "theta_b": 2.0, "phi_b": -0.4})]
+    specs += [StateFamilySpec("x_state", {"rho00": 0.4, "rho11": 0.1, "rho22": 0.2, "rho33": 0.3,
+                                          "rho03": 0.2, "rho12": -0.1})]
+    states = [generate_state(spec) for spec in specs]
+    return states + [bell_mixture(c3) for c3 in (-1.0, -0.35, 0.0, 0.5, 1.0)]
+
+
+def test_stacked_decomposition_matches_pauli_decompose():
+    states = [random_state(seed) for seed in range(200)] + family_states()
+    x, y, t = pauli_decompose_stack(np.array([rho.entries for rho in states]))
+    assert x.flags.c_contiguous and y.flags.c_contiguous and t.flags.c_contiguous
+    for k, rho in enumerate(states):
+        corr = pauli_decompose(rho)
+        assert np.array_equal(x[k], corr.x) and np.array_equal(y[k], corr.y) and np.array_equal(t[k], corr.T)
+
+
+def test_stacked_trace_cc_matches_and_overflows_quietly():
+    states = [random_state(seed) for seed in range(50)] + family_states()
+    corrs = [pauli_decompose(rho) for rho in states]
+    corrs.append(CorrelationData(x=np.zeros(3), y=np.zeros(3), T=np.diag([1e154] * 3)))
+    x, y, t = (np.array([getattr(c, name) for c in corrs]) for name in ("x", "y", "T"))
+    tcc = trace_cc_stack(x, y, t)  # warnings are errors in this suite
+    assert tcc[-1] == np.inf
+    assert all(tcc[k] == trace_cc(corr) for k, corr in enumerate(corrs))

@@ -26,7 +26,7 @@ from ggqd import (
     swap_subsystems,
     validate_density,
 )
-from ggqd.qstate import PAULIS, parse_state_matrix
+from ggqd.qstate import PAULIS, family_matrix, parse_state_matrix, validate_density_stack
 
 
 def bell_mixture_matrix(c3):
@@ -330,3 +330,52 @@ def test_property_parser_accepts_or_raises_state_format_error(text):
         return
     assert m.shape == (4, 4) and m.dtype == complex
     assert np.isfinite(m).all()
+
+
+def _off_contract_matrices():
+    """One matrix per validation failure, with the error and a figure its message must carry."""
+    nan = np.eye(4, dtype=complex) / 4
+    nan[2, 1] = np.inf
+    skew = np.eye(4, dtype=complex) / 4
+    skew[0, 1] = 1e-3
+    skew_and_trace = skew * 2.0  # fails Hermiticity first
+    return [
+        (nan, ValueError, "finite"),
+        (skew, NonHermitianError, f"{1e-3:.6e}"),
+        (skew_and_trace, NonHermitianError, f"{2e-3:.6e}"),
+        (np.eye(4) * 0.225, TraceNotOneError, f"{0.1:.6e}"),
+        (bell_mixture_matrix(0.5), NotPositiveError, f"{-0.125:.6e}"),
+    ]
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_validate_density_stack_reports_first_failure(position):
+    good = [random_state(seed).entries for seed in range(6)]
+    for bad, error, figure in _off_contract_matrices():
+        # a second failing matrix after the first must not be the one reported
+        stack = good[:position] + [bad] + good[position:] + [np.eye(4) * 0.3]
+        with pytest.raises(error) as stacked:
+            validate_density_stack(stack)
+        with pytest.raises(error) as single:
+            validate_density(bad)
+        assert stacked.value.index == position
+        assert str(stacked.value) == str(single.value) and figure in str(single.value)
+
+
+def test_validate_density_stack_accepts_and_waives():
+    mats = [random_state(seed).entries for seed in range(4)] + [bell_mixture_matrix(0.5)]
+    with pytest.raises(NotPositiveError):
+        validate_density_stack(mats)
+    stack = validate_density_stack(mats, allow_nonphysical=True)
+    assert stack.dtype == complex and np.array_equal(stack, np.array(mats))
+    assert validate_density_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    with pytest.raises(ValueError, match="stack"):
+        validate_density_stack(np.eye(4) / 4)
+
+
+def test_family_matrix_is_the_unvalidated_member():
+    spec = StateFamilySpec("bell_mixture", {"c3": 0.5})
+    m = family_matrix(spec)
+    assert np.array_equal(m, generate_state(spec, allow_nonphysical=True).entries)
+    with pytest.raises(UnknownFamilyError):
+        family_matrix(StateFamilySpec("nope"))

@@ -35,15 +35,23 @@ from ggqd.objective import objective_rows, rank2_lambda_max
 from ggqd.solver import (
     _NEWTON_MAX_ITERATIONS,
     _ORACLE_MAX_ITERATIONS,
+    _bloch_stack,
     _derivatives,
     _direction_grid,
     _grid_monomials,
     _maximize_many,
+    _orient,
     _oracle_terms,
     _scaled_data,
     _tangent_frame,
     _tangent_terms,
+    ggqd_bloch,
 )
+
+def stacked(corrs):
+    """x (n, 3), y (n, 3) and T (n, 3, 3) of ``corrs``, as the batched solver takes them."""
+    return np.array([c.x for c in corrs]), np.array([c.y for c in corrs]), np.array([c.T for c in corrs])
+
 
 def bell_corr(c3):
     rho = generate_state(StateFamilySpec("bell_mixture", {"c3": c3}), allow_nonphysical=True)
@@ -324,7 +332,7 @@ def test_ggqd_rejects_bare_array_with_wrong_trace():
 
 def scaled_corr(corr):
     """The data _scaled_data works on, as CorrelationData."""
-    e = int(_scaled_data([corr])[0][0])
+    e = int(_scaled_data(*stacked([corr]))[0][0])
     return CorrelationData(x=np.ldexp(corr.x, -e), y=np.ldexp(corr.y, -e), T=np.ldexp(corr.T, -e))
 
 
@@ -333,7 +341,7 @@ def test_derivatives_match_central_differences():
     for seed in range(50):
         corr = pauli_decompose(random_state(900 + seed))
         sc = scaled_corr(corr)
-        _, kcy, p = _scaled_data([corr])
+        _, kcy, p = _scaled_data(*stacked([corr]))
         b = rng.standard_normal(3)
         b /= np.linalg.norm(b)
 
@@ -386,10 +394,9 @@ def test_newton_polish_optimality_evidence(monkeypatch):
         return out
 
     monkeypatch.setattr(solver_mod, "_newton_ascent", recording)
-    polished = _maximize_many(corrs)
+    f_max, _, b_star = _maximize_many(*stacked(corrs))
     assert steps[0].max() < _NEWTON_MAX_ITERATIONS
-    e, kcy, p = _scaled_data(corrs)
-    b_star = np.array([r[2] for r in polished])
+    e, kcy, p = _scaled_data(*stacked(corrs))
     _, tgrad, thess = _tangent_terms(kcy, p, b_star)
     # back to the original data: g - 1 scales by 4^e
     tgrad, thess = np.ldexp(tgrad, 2 * e[:, None]), np.ldexp(thess, 2 * e[:, None, None])
@@ -397,8 +404,17 @@ def test_newton_polish_optimality_evidence(monkeypatch):
     assert np.linalg.eigvalsh(thess).max() <= 1e-8
 
     monkeypatch.setattr(solver_mod, "_newton_ascent", lambda kcy, p, coef, b, h: (b, h, None))
-    for (f_max, _, _), (f_grid, _, _) in zip(polished, _maximize_many(corrs)):
-        assert f_max >= f_grid
+    assert (f_max >= _maximize_many(*stacked(corrs))[0]).all()
+
+
+@pytest.mark.parametrize("seed", [257, 997, 1696])
+def test_newton_polish_takes_the_last_unseen_step(seed):
+    # near a tangent gradient of 1e-8 no trial step raises g past its rounding;
+    # the short Newton step is then taken unverified, as the last one
+    data = stacked([pauli_decompose(random_state(seed))])
+    e, kcy, p = _scaled_data(*data)
+    _, tgrad, _ = _tangent_terms(kcy, p, _maximize_many(*data)[2])
+    assert np.hypot(*np.ldexp(tgrad[0], 2 * e[0])) <= 1e-10
 
 
 def test_fast_path_runs_no_compass_search(monkeypatch):
@@ -414,8 +430,7 @@ _TILT = np.array([np.sin(0.01), 0.0, np.cos(0.01)])
 
 
 #: degenerate optima and points where the rank-2 eigenvalue is not smooth, with their f_max
-_DEGENERATE_CASES = pytest.mark.parametrize(
-    "corr,f_want",
+_DEGENERATE_CASE_VALUES = (
     [(pauli_decompose(generate_state(StateFamilySpec("werner", {"p": p}))), 1.0 + p * p)
      for p in (0.0, 0.3, 0.7, 1.0)]
     + [
@@ -427,7 +442,11 @@ _DEGENERATE_CASES = pytest.mark.parametrize(
         (CorrelationData(x=np.zeros(3), y=0.9 * _TILT, T=np.zeros((3, 3))), 1.81),
         # s = 0 at b = +-e2 only; g = 1.25 everywhere
         (CorrelationData(x=np.array([0.5, 0.0, 0.0]), y=np.zeros(3), T=np.diag([0.0, 0.5, 0.0])), 1.25),
-    ],
+    ]
+)
+_DEGENERATE_CASES = pytest.mark.parametrize(
+    "corr,f_want",
+    _DEGENERATE_CASE_VALUES,
     ids=["werner-0", "werner-0.3", "werner-0.7", "werner-1", "phi-plus", "maximally-mixed",
          "s0-y-e3", "s0-y-tilted", "s0-at-e2"],
 )
@@ -448,10 +467,37 @@ def test_oracle_degenerate_and_nonsmooth_points(corr, f_want):
     assert abs(objective_f(corr, (a_star, b_star)) - f_max) <= 1e-12
 
 
+def test_batched_a_star_is_the_reduction_maximizer(monkeypatch):
+    corrs = [pauli_decompose(random_state(seed)) for seed in range(200)]
+    corrs += [corr for corr, _ in _DEGENERATE_CASE_VALUES]
+    corrs.append(CorrelationData(x=np.zeros(3), y=np.zeros(3), T=np.zeros((3, 3))))
+    ascent, polished = solver_mod._newton_ascent, []
+
+    def recording(*args):
+        out = ascent(*args)
+        polished.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver_mod, "_newton_ascent", recording)
+    _, a_star, _ = _maximize_many(*stacked(corrs))
+    for corr, a, b in zip(corrs, a_star, polished[0]):
+        assert np.array_equal(a, _orient(reduced_over_a(corr, b)[1]))
+    assert np.array_equal(a_star[-1], [0.0, 0.0, 1.0])
+
+
+def test_batched_trace_cc_overflow_raises():
+    huge = CorrelationData(x=np.zeros(3), y=np.zeros(3), T=np.diag([1e154] * 3))
+    states = [random_state(1), huge, random_state(2)]
+    with pytest.raises(NonFiniteResultError, match="trace_cc = inf"):
+        ggqd_many(states)
+    with pytest.raises(NonFiniteResultError, match="trace_cc = inf"):
+        ggqd_bloch(*stacked([pauli_decompose(random_state(1)), huge]))
+
+
 def test_derivatives_finite_where_s_vanishes():
     # x = (0.5, 0, 0), T = diag(0, 0.5, 0): p = r and q = 0 at b = e2
     corr = CorrelationData(x=np.array([0.5, 0.0, 0.0]), y=np.zeros(3), T=np.diag([0.0, 0.5, 0.0]))
-    _, kcy, p = _scaled_data([corr])
+    _, kcy, p = _scaled_data(*stacked([corr]))
     for b in (np.array([[0.0, 1.0, 0.0]]), np.array([[0.0, -1.0, 0.0]])):
         _, tgrad, thess = _tangent_terms(kcy, p, b)
         assert np.isfinite(tgrad).all() and np.isfinite(thess).all()
@@ -557,7 +603,7 @@ def test_oracle_is_independent_of_the_reduction(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle called the reduction")
 
-    for name in ("reduced_over_a", "reduced_over_a_monomials", "reduction_coefficients", "direction_monomials",
+    for name in ("rank2_top", "reduced_over_a_monomials", "reduction_coefficients", "direction_monomials",
                  "_scaled_data", "_derivatives", "_tangent_terms", "_newton_ascent", "_maximize_many"):
         monkeypatch.setattr(solver_mod, name, refuse)
     assert [brute_force_oracle(corr) for corr in corrs] == want
@@ -620,10 +666,10 @@ def test_maximize_many_matches_single_solves():
         pauli_decompose(generate_state(StateFamilySpec("werner", {"p": p})))
         for p in np.linspace(0.0, 1.0, 101)
     ]
-    for batched, corr in zip(_maximize_many(corrs), corrs):
-        f_max, a_star, b_star = maximize_objective(corr)
-        assert batched[0] == f_max
-        assert np.array_equal(batched[1], a_star) and np.array_equal(batched[2], b_star)
+    for k, (f_max, a_star, b_star) in enumerate(zip(*_maximize_many(*stacked(corrs)))):
+        f_one, a_one, b_one = maximize_objective(corrs[k])
+        assert f_max == f_one
+        assert np.array_equal(a_star, a_one) and np.array_equal(b_star, b_one)
 
 
 @pytest.mark.parametrize(
@@ -638,6 +684,17 @@ def test_ggqd_many_matches_ggqd(method, count):
         assert results_equal(res, ggqd(rho, method=method))
 
 
+def test_ggqd_many_and_ggqd_bloch_on_stacked_states():
+    states = [random_state(60 + k) for k in range(6)]
+    stack = np.array([rho.entries for rho in states])
+    for res, rho in zip(ggqd_many(stack), states):
+        assert results_equal(res, ggqd(rho))
+    x, y, t = _bloch_stack(stack)
+    for res, rho in zip(ggqd_bloch(x, y, t), states):
+        assert results_equal(res, ggqd(rho))
+    assert ggqd_bloch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3, 3))) == []
+
+
 def test_ggqd_many_inputs():
     rho = random_state(9)
     corr = pauli_decompose(rho)
@@ -650,8 +707,9 @@ def test_ggqd_many_inputs():
 
 def test_grid_caches_are_read_only():
     bs, b_angles = _direction_grid()
-    angles, mono = _grid_monomials()
-    assert _direction_grid()[0] is bs and _grid_monomials()[1] is mono
+    mono = _grid_monomials()
+    angles = solver_mod._grid_angles(solver_mod._B_GRID_STEP)
+    assert _direction_grid()[0] is bs and _grid_monomials() is mono
     assert len(angles) == 8280 and len(bs) == 1387
     assert (bs[:, 2] >= -1e-12).all() and (mono[8] >= -1e-12).all()
     assert np.array_equal(bs, sphere_direction(b_angles[:, 0], b_angles[:, 1]))
