@@ -17,12 +17,15 @@ four angles and polishes the best pair with a safeguarded Riemannian
 Newton ascent of f itself on the product of the two spheres, from f's own
 gradient and Hessian. It evaluates f directly and never touches the
 analytic reduction, so the two routes are independent; it scales its data
-by a power of two of its own.
-Since f(-a, b) = f(a, -b) = f(a, b), the oracle grids only the northern
-hemisphere of each sphere, and it evaluates that grid one fixed block of
-a-rows at a time into one reused buffer. On X states (T diagonal, x and y
-along e3) the fast path meets the paper's closed form
-f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
+by a power of two of its own. It is batched the same way: each state's
+grid is evaluated on its own, and the polishes of all states run in
+lockstep. Since f(-a, b) = f(a, -b) = f(a, b), the oracle grids only the
+northern hemisphere of each sphere, and it evaluates that grid one fixed
+block of a-rows at a time into one reused buffer, keeping only each
+a-row's maximum. ggqd_bloch hands both solvers at most _CHUNK states at a
+time. On X states (T diagonal, x and y along e3) the fast path meets the
+paper's closed form f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2),
+which the tests assert.
 
 GGQD(rho) = trace_cc(corr) - f_max / 4.
 """
@@ -70,6 +73,13 @@ _EYE2 = np.eye(2)
 #: path does, and takes at most _ORACLE_MAX_ITERATIONS steps (it needs 3 to
 #: 8).
 _ORACLE_MAX_ITERATIONS = 50
+#: The oracle's tangent coordinates in the frame of a pair (a, b): rows 1
+#: and 2 of a's frame, then rows 1 and 2 of b's. _PAIR_SHIFT takes
+#: ((x.a)^2, (y.b)^2, s^2) to the curvature terms (a.grad, a.grad, b.grad,
+#: b.grad) / 2 that the Riemannian Hessian loses on those coordinates.
+_PAIR_TANGENT = np.array([1, 2, 4, 5])
+_PAIR_SHIFT = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+_EYE4 = np.eye(4)
 
 #: Grid steps in radians. Both grids cover polar angles [0, pi/2] only:
 #: f is even in a and in b, and so is g, so every direction's antipode lies
@@ -85,6 +95,11 @@ _ORACLE_STEP = 0.087
 #: float64 block is ~0.7 MB, which stays in L2, where the full objective
 #: array would take 15 MB.
 _ORACLE_BLOCK = 64
+
+#: ggqd_bloch hands its solvers this many states at a time. Their lockstep
+#: polishes hold ~7 KB per state, so a 1e6-state input would otherwise
+#: need ~7 GB at once.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,129 +370,178 @@ def maximize_objective(corr: CorrelationData):
     return float(f_max[0]), a_star[0], b_star[0]
 
 
-def _oracle_excess(x, y, t, a, b) -> np.ndarray:
-    """f - 1 = (y.b)^2 + (x.a)^2 + (a'Tb)^2 at each pair of rows of ``a`` and ``b``."""
-    yb = b @ y
-    xa = a @ x
-    s = ((a @ t) * b).sum(axis=-1)
-    return yb * yb + xa * xa + s * s
+def _oracle_data(x, y, t):
+    """The oracle's stacked data as maps on pairs z = (a, b) in R^6: P (n, 6, 2) and J (n, 6, 6).
 
-
-def _oracle_terms(x, y, t, a, b):
-    """The frames at unit ``a`` and ``b``, and f's tangent gradient (4,) and Riemannian Hessian (4, 4) there.
-
-    With s = a'Tb, f = 1 + (y.b)^2 + (x.a)^2 + s^2 has the gradients
-    grad_a = 2 (x.a) x + 2 s Tb and grad_b = 2 (y.b) y + 2 s T'a, and the
-    Hessian blocks H_aa = 2 xx' + 2 Tb (Tb)', H_bb = 2 yy' + 2 T'a (T'a)' and
-    H_ab = 2 Tb (T'a)' + 2 s T. Both are taken into the tangent planes
-    spanned by the last two rows of each frame, a's two coordinates first;
-    on S^2 x S^2 the a-block loses (a.grad_a) I = 2 ((x.a)^2 + s^2) I and
-    the b-block (b.grad_b) I = 2 ((y.b)^2 + s^2) I.
+    P's columns are (x, 0) and (0, y), and J = [[0, T], [T', 0]], so
+    z'P = (x.a, y.b) and s = a'Tb = z'Jz / 2.
     """
-    fa, fb = _tangent_frame(np.stack([a, b]))
-    xf, yf = fa @ x, fb @ y
-    m = fa @ t @ fb.T  # m[0, 0] = s, m[1:, 0] and m[0, 1:] the tangent parts of Tb and T'a
-    s = m[0, 0]
-    v = np.concatenate([m[1:, 0], m[0, 1:]])
-    grad = 2.0 * (np.concatenate([xf[0] * xf[1:], yf[0] * yf[1:]]) + s * v)
-    hess = 2.0 * np.outer(v, v)
-    hess[:2, :2] += 2.0 * (np.outer(xf[1:], xf[1:]) - (xf[0] * xf[0] + s * s) * np.eye(2))
-    hess[2:, 2:] += 2.0 * (np.outer(yf[1:], yf[1:]) - (yf[0] * yf[0] + s * s) * np.eye(2))
-    hess[:2, 2:] += 2.0 * s * m[1:, 1:]
-    hess[2:, :2] += 2.0 * s * m[1:, 1:].T
-    return fa, fb, grad, hess
+    p = np.zeros((len(x), 6, 2))
+    p[:, :3, 0], p[:, 3:, 1] = x, y
+    j = np.zeros((len(x), 6, 6))
+    j[:, :3, 3:] = t
+    j[:, 3:, :3] = t.swapaxes(1, 2)
+    return p, j
+
+
+def _oracle_excess(p, j, z) -> np.ndarray:
+    """f - 1 = (x.a)^2 + (y.b)^2 + (a'Tb)^2 at pairs z = (a, b) (n, m, 6), state k's on p[k] and j[k]."""
+    xy = z @ p
+    s = ((z @ j)[..., :3] * z[..., :3]).sum(axis=-1)
+    return (xy * xy).sum(axis=-1) + s * s
+
+
+def _oracle_terms(p, j, z):
+    """f's tangent basis (n, 4, 6), gradient (n, 4) and Riemannian Hessian (n, 4, 4) at unit pairs z = (a, b) (n, 6).
+
+    ``p`` and ``j`` are as _oracle_data returns them. On R^6, with
+    X = (x, 0), Y = (0, y) and s = z'Jz / 2, f = 1 + (X.z)^2 + (Y.z)^2 + s^2
+    has the gradient 2 (X.z) X + 2 (Y.z) Y + 2 s Jz and the Hessian
+    2 XX' + 2 YY' + 2 Jz (Jz)' + 2 s J. Both are taken into the frame
+    _tangent_frame(a) x _tangent_frame(b), whose rows 1, 2 (for a) and 4, 5
+    (for b) span the tangent space of S^2 x S^2 at z; there Jz has the
+    coordinates C[0] + C[3], C = F J F'. The Hessian's a-block then loses
+    (a.grad) I = 2 ((x.a)^2 + s^2) I and its b-block (b.grad) I =
+    2 ((y.b)^2 + s^2) I for the spheres' curvature.
+    """
+    n = len(z)
+    frames = _tangent_frame(z.reshape(2 * n, 3)).reshape(n, 2, 3, 3)
+    f = np.zeros((n, 6, 6))
+    f[:, :3, :3], f[:, 3:, 3:] = frames[:, 0], frames[:, 1]
+    c = f @ j @ f.swapaxes(1, 2)
+    k = f @ p
+    s = c[:, 0, 3]
+    g = np.concatenate([k.swapaxes(1, 2), (c[:, 0] + c[:, 3])[:, None]], axis=1)  # rows X, Y and Jz in F
+    coef = np.stack([k[:, 0, 0], k[:, 3, 1], s], axis=1)  # x.a, y.b and s
+    grad = 2.0 * (coef[:, None] @ g)[:, 0, _PAIR_TANGENT]
+    hess = (g.swapaxes(1, 2) @ g + s[:, None, None] * c)[:, _PAIR_TANGENT[:, None], _PAIR_TANGENT]
+    hess -= ((coef * coef) @ _PAIR_SHIFT)[:, :, None] * _EYE4
+    hess *= 2.0
+    return f[:, _PAIR_TANGENT], grad, hess
 
 
 def _oracle_newton(x, y, t, a, b, h):
-    """Safeguarded Riemannian Newton ascent of f on S^2 x S^2 from unit ``a`` and ``b``.
+    """Safeguarded Riemannian Newton ascent of f on S^2 x S^2 from each pair of unit rows of ``a`` and ``b``.
 
-    ``h`` is f - 1 at (a, b). Where the Riemannian Hessian is negative
-    definite the step is the Newton step; elsewhere it is the gradient
-    divided by the larger of the Hessian's spectral radius and the
-    gradient's length. Steps are capped at length 1, and the new point is
-    (normalize(a + t da), normalize(b + t db)) for the longest of
-    t = 1, 1/2, ..., 2^-_NEWTON_HALVINGS that increases h strictly. It
-    stops once the tangent gradient is at most _NEWTON_GRAD_TOL or no t
-    increases h. Near a tangent gradient of 1e-8 a Newton step gains
-    ~1e-16, the rounding of h, so no comparison of values can see it; a
-    Newton step d with |d| <= _NEWTON_LAST_STEP |w|, w the Hessian's
-    eigenvalue nearest 0, gains at least |w| |d|^2 / 2 while the quadratic
-    model errs by O(|d|^3), so such a step is taken unseen as the last one,
-    and h stays the larger value. h never decreases. Returns the final a,
-    b, h and the number of steps, which reaches _ORACLE_MAX_ITERATIONS only
-    if the cap cut it off.
+    ``x``, ``y`` and ``t`` are stacked (n, 3), (n, 3) and (n, 3, 3), and
+    ``h`` is f - 1 at the rows of (a, b). All rows step in lockstep. Where
+    a row's Riemannian Hessian is negative definite its step is the Newton
+    step; elsewhere it is the gradient divided by the larger of the
+    Hessian's spectral radius and the gradient's length. Steps are capped
+    at length 1, and the new pair is (normalize(a + t da), normalize(b + t
+    db)) for the longest of t = 1, 1/2, ..., 2^-_NEWTON_HALVINGS that
+    increases h strictly. A row is done once its tangent gradient is at
+    most _NEWTON_GRAD_TOL or no t increases h. Near a tangent gradient of
+    1e-8 a Newton step gains ~1e-16, the rounding of h, so no comparison of
+    values can see it; a Newton step d with |d| <= _NEWTON_LAST_STEP |w|, w
+    the Hessian's eigenvalue nearest 0, gains at least |w| |d|^2 / 2 while
+    the quadratic model errs by O(|d|^3), so such a step is taken unseen as
+    the row's last one, and h keeps the larger value. A done row stays put,
+    so every row follows exactly the path it would follow alone, and h
+    never decreases. Returns the final a, b, h and each row's number of
+    steps, which reaches _ORACLE_MAX_ITERATIONS only if the cap cut it off.
     """
-    lengths = 0.5 ** np.arange(_NEWTON_HALVINGS + 1)[:, None]
-    steps = 0
-    while steps < _ORACLE_MAX_ITERATIONS:
-        fa, fb, grad, hess = _oracle_terms(x, y, t, a, b)
-        gnorm = float(np.sqrt(grad @ grad))
-        if gnorm <= _NEWTON_GRAD_TOL:
+    p, j = _oracle_data(x, y, t)
+    z, h = np.concatenate([a, b], axis=1), h.copy()
+    n = len(h)
+    steps = np.zeros(n, dtype=int)
+    t_len = _STEP_LENGTHS[:, None]
+    active = np.arange(n)
+    for _ in range(_ORACLE_MAX_ITERATIONS):
+        # while every row is active, views in place of fancy-indexed copies
+        sel = slice(None) if len(active) == n else active
+        pk, jk, zk = p[sel], j[sel], z[sel]
+        basis, grad, hess = _oracle_terms(pk, jk, zk)
+        gnorm = np.sqrt((grad * grad).sum(axis=1))
+        live = gnorm > _NEWTON_GRAD_TOL
+        if not np.count_nonzero(live):
             break
         w, v = np.linalg.eigh(hess)
-        newton = w[-1] < 0.0
-        if newton:
-            d = v @ ((v.T @ grad) / -w)
-        else:
-            d = grad / max(-w[0], w[-1], gnorm)
-        length = float(np.sqrt(d @ d))
-        d /= max(length, 1.0)
-        ta = a + lengths * (d[0] * fa[1] + d[1] * fa[2])
-        tb = b + lengths * (d[2] * fb[1] + d[3] * fb[2])
-        ta /= np.sqrt((ta * ta).sum(axis=1))[:, None]
-        tb /= np.sqrt((tb * tb).sum(axis=1))[:, None]
-        ht = _oracle_excess(x, y, t, ta, tb)
-        better = np.flatnonzero(ht > h)
-        if not len(better):
-            if newton and length <= _NEWTON_LAST_STEP * -w[-1]:
-                a, b, h = ta[0], tb[0], max(h, ht[0])
-                steps += 1
+        top = w[:, -1]
+        newton = top < 0.0
+        # at least the gradient's length, so a gradient step is at most 1 long
+        bound = np.maximum(np.maximum(-w[:, 0], top), np.maximum(gnorm, _NEWTON_GRAD_TOL))
+        d = (grad[:, None] @ v)[:, 0] / np.where(newton[:, None], -w, bound[:, None])
+        d = (v @ d[:, :, None])[:, :, 0]
+        length = np.sqrt((d * d).sum(axis=1))
+        step = (d[:, None] @ basis)[:, 0] / np.maximum(length, 1.0)[:, None]
+        trial = (zk[:, None] + t_len * step[:, None]).reshape(-1, len(t_len), 2, 3)
+        trial /= np.sqrt((trial * trial).sum(axis=3))[..., None]
+        trial = trial.reshape(-1, len(t_len), 6)
+        ht = _oracle_excess(pk, jk, trial)
+        better = ht > h[sel, None]
+        moved = live & better.any(axis=1)
+        stuck = live ^ moved
+        if np.count_nonzero(stuck):
+            last = stuck & newton & (length <= _NEWTON_LAST_STEP * -top)
+            if np.count_nonzero(last):
+                done = active[last]
+                z[done] = trial[last, 0]
+                h[done] = np.maximum(h[done], ht[last, 0])
+                steps[done] += 1
+        k = better.argmax(axis=1)[moved]
+        active = active[moved]
+        z[active] = trial[moved, k]
+        h[active] = ht[moved, k]
+        steps[active] += 1
+        if not len(active):
             break
-        k = better[0]
-        a, b, h = ta[k], tb[k], ht[k]
-        steps += 1
-    return a, b, h, steps
+    return z[:, :3], z[:, 3:], h, steps
+
+
+def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """The oracle on stacked x (n, 3), y (n, 3) and T (n, 3, 3), as one batch: 4-angle grid, then Newton on f.
+
+    Each state's x, y and T are first scaled by 2^-e, the power of two that
+    puts their largest entry in [0.5, 1); f - 1 is homogeneous of degree 2
+    in them, so f_max = 1 + 4^e max(f - 1) on the scaled data, exactly.
+    Both northern hemispheres are gridded at a 5 degree step. For each
+    state, the maximum over b of (a'Tb)^2 + (y.b)^2 is taken at every grid
+    a, _ORACLE_BLOCK a-rows at a time in one reused buffer, and (x.a)^2 is
+    added to these row maxima once. The start pair is the first best row
+    and that row's first best column; _oracle_newton polishes all states'
+    pairs in lockstep on both spheres at once. No step uses the analytic
+    a-reduction. Returns f_max (n,), a_star (n, 3) and b_star (n, 3), both
+    oriented by _orient; row k is bit for bit what a batch of state k alone
+    returns. Raises NonFiniteResultError if an f_max overflows float64.
+    """
+    big = np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1))
+    e = np.frexp(np.maximum(big, np.abs(t).max(axis=(1, 2))))[1]
+    x, y, t = np.ldexp(x, -e[:, None]), np.ldexp(y, -e[:, None]), np.ldexp(t, -e[:, None, None])
+    grid = _direction_grid()[0]
+    buf = np.empty((_ORACLE_BLOCK, len(grid)))
+    row_max = np.empty(len(grid))
+    a, b, h = np.empty((len(x), 3)), np.empty((len(x), 3)), np.empty(len(x))
+    for k in range(len(x)):
+        tb = t[k] @ grid.T
+        yb2 = np.square(grid @ y[k])
+        for lo in range(0, len(grid), _ORACLE_BLOCK):
+            rows = slice(lo, lo + _ORACLE_BLOCK)
+            f = buf[: len(row_max[rows])]
+            np.matmul(grid[rows], tb, out=f)
+            np.square(f, out=f)
+            f += yb2
+            f.max(axis=1, out=row_max[rows])
+        xa2 = np.square(grid @ x[k])
+        row_max += xa2
+        ia = int(np.argmax(row_max))
+        row = np.square(grid[ia] @ tb)
+        row += yb2
+        ib = int(np.argmax(row))
+        a[k], b[k], h[k] = grid[ia], grid[ib], row[ib] + xa2[ia]
+
+    a, b, h, _ = _oracle_newton(x, y, t, a, b, h)
+    with np.errstate(over="ignore"):
+        f_max = 1.0 + np.ldexp(h, 2 * e)
+    if np.count_nonzero(f_max == math.inf):
+        raise NonFiniteResultError("f_max overflows float64; the correlation data are too large")
+    return f_max, _orient(a), _orient(b)
 
 
 def _oracle_search(corr: CorrelationData):
-    """4-angle grid search plus one Newton polish of f itself.
-
-    x, y and T are first scaled by 2^-e, the power of two that puts their
-    largest entry in [0.5, 1); f - 1 is homogeneous of degree 2 in them, so
-    f_max = 1 + 4^e max(f - 1) on the scaled data, exactly. Both northern
-    hemispheres are gridded at a 5 degree step and f - 1 is evaluated at
-    every (a, b) pair, _ORACLE_BLOCK a-rows at a time in one reused buffer,
-    keeping the first best pair; _oracle_newton polishes it on both spheres
-    at once. No step uses the analytic a-reduction. Raises
-    NonFiniteResultError if f_max overflows float64.
-    """
-    e = math.frexp(max(np.abs(corr.x).max(), np.abs(corr.y).max(), np.abs(corr.T).max()))[1]
-    x, y, t = np.ldexp(corr.x, -e), np.ldexp(corr.y, -e), np.ldexp(corr.T, -e)
-    bs = _direction_grid()[0]
-    as_ = _direction_grid()[0]
-
-    tb = t @ bs.T
-    xa2 = (as_ @ x) ** 2
-    yb2 = (bs @ y) ** 2
-    buf = np.empty((_ORACLE_BLOCK, len(bs)))
-    best, ia, ib = -math.inf, 0, 0
-    for lo in range(0, len(as_), _ORACLE_BLOCK):
-        rows = slice(lo, lo + _ORACLE_BLOCK)
-        f = buf[: len(xa2[rows])]
-        np.matmul(as_[rows], tb, out=f)
-        np.square(f, out=f)
-        f += xa2[rows, None]
-        f += yb2
-        k = np.unravel_index(np.argmax(f), f.shape)
-        if f[k] > best:
-            best, ia, ib = f[k], lo + k[0], k[1]
-
-    a_star, b_star, h, _ = _oracle_newton(x, y, t, as_[ia], bs[ib], best)
-    try:
-        f_max = 1.0 + math.ldexp(h, 2 * e)
-    except OverflowError:
-        raise NonFiniteResultError("f_max overflows float64; the correlation data are too large") from None
-    return f_max, _orient(a_star), _orient(b_star)
+    """The oracle's (f_max, a_star, b_star) for one state: a batch of one through _oracle_many."""
+    f_max, a_star, b_star = _oracle_many(corr.x[None], corr.y[None], corr.T[None])
+    return float(f_max[0]), a_star[0], b_star[0]
 
 
 def brute_force_oracle(corr: CorrelationData) -> float:
@@ -510,31 +574,41 @@ def _bloch_stack(states):
     return x, y, t
 
 
+def _chunked(solve, x, y, t):
+    """``solve`` on stacked Bloch data, _CHUNK states at a time, its outputs concatenated."""
+    if len(x) <= _CHUNK:
+        return solve(x, y, t)
+    parts = [solve(x[lo : lo + _CHUNK], y[lo : lo + _CHUNK], t[lo : lo + _CHUNK])
+             for lo in range(0, len(x), _CHUNK)]
+    return [np.concatenate(out) for out in zip(*parts)]
+
+
 def ggqd_bloch(x, y, t, method: str = "fast") -> list[GgqdResult]:
     """Geometric global quantum discord of stacked Bloch data, solved as one batch.
 
     ``x`` and ``y`` are (n, 3) and ``t`` is (n, 3, 3), for example from
     pauli_decompose_stack. The fast path (also under ``both``) evaluates
     each state's b-grid on its own, polishes all states in lockstep and
-    recovers every a_star and trace_cc with stacked array operations;
-    ``oracle`` and the oracle half of ``both`` run state by state on a
-    CorrelationData each. See :func:`ggqd` for the methods. Raises
-    NonFiniteResultError if an f_max or trace_cc overflows float64.
+    recovers every a_star and trace_cc with stacked array operations; the
+    oracle (``oracle``, and the check under ``both``) evaluates each
+    state's grid on its own and polishes all states in lockstep too. Both
+    solve _CHUNK states at a time, so the working set stays bounded. See
+    :func:`ggqd` for the methods. Raises ValueError naming the first state
+    with a non-finite entry, and NonFiniteResultError if an f_max or
+    trace_cc overflows float64.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'; expected one of {_METHODS}")
     if not len(x):
         return []
     x, y, t = (np.ascontiguousarray(v, dtype=float) for v in (x, y, t))
+    finite = np.isfinite(np.concatenate([x, y, t.reshape(len(t), 9)], axis=1))
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=1)))
+        name = ("x", "y", "T")[min(int(np.argmin(finite[k])) // 3, 2)]
+        raise ValueError(f"state {k}: {name} must be finite")
 
-    if method == "oracle":
-        solved = [_oracle_search(CorrelationData(*data)) for data in zip(x, y, t)]
-        f_max = np.array([f for f, _, _ in solved])
-        a_star = np.array([a for _, a, _ in solved])
-        b_star = np.array([b for _, _, b in solved])
-    else:
-        f_max, a_star, b_star = _maximize_many(x, y, t)
-
+    f_max, a_star, b_star = _chunked(_oracle_many if method == "oracle" else _maximize_many, x, y, t)
     tcc = trace_cc_stack(x, y, t)
     if np.count_nonzero(tcc == math.inf):  # both solvers raise where f_max overflows
         k = int(np.argmax(tcc))
@@ -543,8 +617,7 @@ def ggqd_bloch(x, y, t, method: str = "fast") -> list[GgqdResult]:
         )
     gaps = [None] * len(x)
     if method == "both":
-        gaps = [abs(f - brute_force_oracle(CorrelationData(*data)))
-                for f, data in zip(f_max.tolist(), zip(x, y, t))]
+        gaps = np.abs(f_max - _chunked(_oracle_many, x, y, t)[0]).tolist()
     name = "oracle" if method == "oracle" else "fast"
     # each result owns its vectors, rather than views that keep the whole batch alive
     return [

@@ -118,8 +118,13 @@ def test_compute_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
     # the oracle agrees with the fast path on every known state, so force a gap
     import ggqd.solver as solver_mod
 
-    real_oracle = solver_mod.brute_force_oracle
-    monkeypatch.setattr(solver_mod, "brute_force_oracle", lambda corr: real_oracle(corr) + 0.5)
+    real_oracle = solver_mod._oracle_many
+
+    def skewed(x, y, t):
+        f_max, a_star, b_star = real_oracle(x, y, t)
+        return f_max + 0.5, a_star, b_star
+
+    monkeypatch.setattr(solver_mod, "_oracle_many", skewed)
     path = write_mixed(tmp_path)
     code, out = run_cli(["compute", path, "--method", "both", "--json"], capsys)
     assert code == 5
@@ -213,7 +218,6 @@ def test_oracle_on_large_nonphysical_data(tmp_path, capsys):
 
 def test_gap_check_scales_with_large_data(tmp_path, capsys, monkeypatch):
     # rounding alone puts fast and oracle ~1e285 apart at f_max = 8e300; the limit is 1e-3 m^2
-    import ggqd.cli as cli_mod
     import ggqd.solver as solver_mod
 
     path = write_large_coherence(tmp_path, 1e150)
@@ -223,11 +227,14 @@ def test_gap_check_scales_with_large_data(tmp_path, capsys, monkeypatch):
     code, out = run_cli(["compute", path, "--method", "both", "--allow-nonphysical", "--json"], capsys)
     assert code == 0
 
-    real_oracle = solver_mod.brute_force_oracle
+    real_oracle = solver_mod._oracle_many
 
     def skew(factor):
-        monkeypatch.setattr(cli_mod, "brute_force_oracle", lambda corr: real_oracle(corr) * factor)
-        monkeypatch.setattr(solver_mod, "brute_force_oracle", lambda corr: real_oracle(corr) * factor)
+        def skewed(x, y, t):
+            f_max, a_star, b_star = real_oracle(x, y, t)
+            return f_max * factor, a_star, b_star
+
+        monkeypatch.setattr(solver_mod, "_oracle_many", skewed)
 
     # a disagreement of a few ulps is rounding, not a gap
     skew(1.0 + 1e-15)
@@ -356,12 +363,13 @@ def test_sweep_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
     # no one-parameter family reaches the 1e-3 gap, so force one from c3 = 0.5 on
     import ggqd.solver as solver_mod
 
-    real_oracle = solver_mod.brute_force_oracle
+    real_oracle = solver_mod._oracle_many
 
-    def skewed(corr):
-        return real_oracle(corr) + (0.5 if corr.T[2, 2] >= 0.4 else 0.0)
+    def skewed(x, y, t):
+        f_max, a_star, b_star = real_oracle(x, y, t)
+        return f_max + np.where(t[:, 2, 2] >= 0.4, 0.5, 0.0), a_star, b_star
 
-    monkeypatch.setattr(solver_mod, "brute_force_oracle", skewed)
+    monkeypatch.setattr(solver_mod, "_oracle_many", skewed)
     out_csv = tmp_path / "both.csv"
     code = main(["sweep", "bell-mixture", "c3", "--from", "0", "--to", "1", "--step", "0.5",
                  "--method", "both", "--allow-nonphysical", "-o", str(out_csv)])
@@ -370,7 +378,7 @@ def test_sweep_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
     assert "c3 = 0.5" in err and "c3 = 1" not in err
     assert len(out_csv.read_text().strip().splitlines()) == 4  # the CSV is still written
 
-    monkeypatch.setattr(solver_mod, "brute_force_oracle", real_oracle)
+    monkeypatch.setattr(solver_mod, "_oracle_many", real_oracle)
     code = main(["sweep", "bell-mixture", "c3", "--from", "0", "--to", "1", "--step", "0.5",
                  "--method", "both", "--allow-nonphysical", "-o", str(out_csv)])
     assert code == 0

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from ggqd.solver import (
     _grid_monomials,
     _maximize_many,
     _orient,
+    _oracle_data,
     _oracle_terms,
     _scaled_data,
     _tangent_frame,
@@ -152,6 +154,18 @@ def test_oracle_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+    # 41 states in one batch: the one reused 64-row block and the grid products
+    # (~0.82 MB, as for one state) plus ~7 KB per state for the lockstep
+    # polish; 1.10 MB measured, where one block per state would take 29 MB
+    data = stacked([pauli_decompose(random_state(seed)) for seed in range(41)])
+    tracemalloc.start()
+    try:
+        solver_mod._oracle_many(*data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_xstate_candidates_degenerate_denominator():
@@ -524,10 +538,10 @@ def test_scaling_is_exact():
         assert np.array_equal(a_big, a_star) and np.array_equal(b_big, b_star)
 
 
-def exp_pair(a, b, fa, fb, xi):
-    """(a, b) moved along the geodesics of S^2 x S^2 by the tangent vector xi, a's two coordinates first."""
+def exp_pair(a, b, basis, xi):
+    """(a, b) moved along the geodesics of S^2 x S^2 by the tangent vector xi, in the coordinates of ``basis``."""
     moved = []
-    for p, v in ((a, xi[0] * fa[1] + xi[1] * fa[2]), (b, xi[2] * fb[1] + xi[3] * fb[2])):
+    for p, v in ((a, xi @ basis[:, :3]), (b, xi @ basis[:, 3:])):
         n = np.linalg.norm(v)
         moved.append(p if n == 0.0 else np.cos(n) * p + np.sin(n) * v / n)
     return moved
@@ -539,11 +553,12 @@ def test_oracle_derivatives_match_geodesic_differences():
     for seed in range(50):
         corr = pauli_decompose(random_state(1200 + seed))
         a, b = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
-        fa, fb, grad, hess = _oracle_terms(corr.x, corr.y, corr.T, a, b)
+        terms = _oracle_terms(*_oracle_data(*stacked([corr])), np.concatenate([a, b])[None])
+        basis, grad, hess = (v[0] for v in terms)
         assert np.allclose(hess, hess.T, atol=1e-15, rtol=0.0)
 
         def along(xi, angle):
-            return float(objective_rows(corr, *exp_pair(a, b, fa, fb, angle * xi)))
+            return float(objective_rows(corr, *exp_pair(a, b, basis, angle * xi)))
 
         def second(xi, angle=1e-4):
             return (along(xi, angle) - 2.0 * along(xi, 0.0) + along(xi, -angle)) / angle**2
@@ -566,15 +581,14 @@ def test_oracle_newton_optimality_evidence(monkeypatch):
         return out
 
     monkeypatch.setattr(solver_mod, "_oracle_newton", recording)
-    for seed in range(200):
-        corr = pauli_decompose(random_state(seed))
-        _, a_star, b_star = solver_mod._oracle_search(corr)
-        h_grid, h_star, steps = runs[-1]
-        assert h_star >= h_grid
-        assert steps < _ORACLE_MAX_ITERATIONS
-        _, _, grad, hess = _oracle_terms(corr.x, corr.y, corr.T, a_star, b_star)
-        assert np.sqrt(grad @ grad) <= 1e-8
-        assert np.linalg.eigvalsh(hess).max() <= 1e-8
+    corrs = [pauli_decompose(random_state(seed)) for seed in range(200)]
+    _, a_star, b_star = solver_mod._oracle_many(*stacked(corrs))
+    (h_grid, h_star, steps), = runs
+    assert (h_star >= h_grid).all()
+    assert steps.max() < _ORACLE_MAX_ITERATIONS
+    _, grad, hess = _oracle_terms(*_oracle_data(*stacked(corrs)), np.concatenate([a_star, b_star], axis=1))
+    assert np.sqrt((grad * grad).sum(axis=1)).max() <= 1e-8
+    assert np.linalg.eigvalsh(hess).max() <= 1e-8
 
 
 @pytest.mark.parametrize("seed", [435, 484, 1067, 1414])
@@ -672,9 +686,78 @@ def test_maximize_many_matches_single_solves():
         assert np.array_equal(a_star, a_one) and np.array_equal(b_star, b_one)
 
 
+def test_oracle_many_matches_single_solves():
+    corrs = [pauli_decompose(random_state(seed)) for seed in range(200)]
+    corrs += [
+        pauli_decompose(generate_state(StateFamilySpec("werner", {"p": p})))
+        for p in np.linspace(0.0, 1.0, 101)
+    ]
+    corrs += [bell_corr(-1.0 + 0.05 * k) for k in range(41)]
+    corrs += [corr for corr, _ in _DEGENERATE_CASE_VALUES]
+    for k, (f_max, a_star, b_star) in enumerate(zip(*solver_mod._oracle_many(*stacked(corrs)))):
+        f_one, a_one, b_one = solver_mod._oracle_search(corrs[k])
+        assert f_max == f_one
+        assert np.array_equal(a_star, a_one) and np.array_equal(b_star, b_one)
+
+
+def test_oracle_batch_with_a_flat_state_raises_no_warning():
+    # the maximally mixed state has zero gradient and zero Hessian everywhere, and it
+    # polishes in lockstep with states that take Newton and gradient steps
+    corrs = [pauli_decompose(random_state(3)), pauli_decompose(mixed_state()), bell_corr(0.5),
+             pauli_decompose(random_state(4))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f_max, _, _ = solver_mod._oracle_many(*stacked(corrs))
+        both = ggqd_many(corrs, method="both")
+    assert f_max[1] == 1.0 and abs(f_max[2] - 2.0) <= 1e-12
+    assert max(res.oracle_gap for res in both) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["fast", "oracle", "both"])
+@pytest.mark.parametrize("field", ["x", "y", "T"])
+def test_ggqd_bloch_rejects_non_finite_data(method, field):
+    x, y, t = stacked([pauli_decompose(random_state(seed)) for seed in range(3)])
+    bad = {"x": x, "y": y, "T": t}[field]
+    bad[1].flat[2] = np.nan
+    bad[2].flat[0] = np.inf
+    with pytest.raises(ValueError, match=f"state 1: {field} must be finite"):
+        ggqd_bloch(x, y, t, method=method)
+    with pytest.raises(ValueError, match=f"state 0: {field} must be finite"):
+        ggqd_bloch(x[2:], y[2:], t[2:], method=method)
+
+
+def test_ggqd_bloch_solves_in_bounded_chunks(monkeypatch):
+    sizes = []
+    for name in ("_maximize_many", "_oracle_many"):
+        def recording(x, y, t, solve=getattr(solver_mod, name)):
+            sizes.append(len(x))
+            return solve(x, y, t)
+
+        monkeypatch.setattr(solver_mod, name, recording)
+
+    # the fast path at its own chunk size, on formal data
+    rng = np.random.default_rng(91)
+    n = solver_mod._CHUNK + 5
+    x, y, t = rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (n, 3, 3))
+    batch = ggqd_bloch(x, y, t)
+    assert sizes == [solver_mod._CHUNK, 5]
+    for k in (0, n - 6, n - 5, n - 1):
+        assert results_equal(batch[k], ggqd_bloch(x[k : k + 1], y[k : k + 1], t[k : k + 1])[0])
+
+    # every method, with a small chunk
+    monkeypatch.setattr(solver_mod, "_CHUNK", 3)
+    states = [random_state(80 + k) for k in range(7)] + [mixed_state()]
+    for method in ("fast", "oracle", "both"):
+        sizes.clear()
+        batch = ggqd_many(states, method=method)
+        assert sizes == [3, 3, 2] * (2 if method == "both" else 1)
+        for res, rho in zip(batch, states):
+            assert results_equal(res, ggqd(rho, method=method))
+
+
 @pytest.mark.parametrize(
     "method,count",
-    [("fast", 12), ("oracle", 2), ("both", 2)],
+    [("fast", 12), ("oracle", 2), ("oracle", 12), ("both", 2), ("both", 12)],
 )
 def test_ggqd_many_matches_ggqd(method, count):
     states = [random_state(40 + k) for k in range(count)]
