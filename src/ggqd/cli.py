@@ -34,7 +34,7 @@ from .qstate import (
     save_state,
     validate_density_stack,
 )
-from .solver import _METHODS, brute_force_oracle, ggqd, ggqd_bloch, maximize_objective
+from .solver import _METHODS, _largest_entry, brute_force_oracle, ggqd, ggqd_bloch, maximize_objective
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -82,7 +82,7 @@ def _gap_limit(x, y, t):
     Takes one state's x, y and T, or stacked ones, and gives one limit per
     state.
     """
-    m = np.maximum(np.maximum(np.abs(x).max(axis=-1), np.abs(y).max(axis=-1)), np.abs(t).max(axis=(-2, -1)))
+    m = _largest_entry(x, y, t)
     return ORACLE_GAP_LIMIT * np.maximum(1.0, m * m)
 
 

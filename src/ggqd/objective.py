@@ -127,9 +127,14 @@ def rank2_top(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rank2_lambda_max(u, v) -> tuple[float, np.ndarray]:
     """Top eigenvalue and a unit eigenvector of u u' + v v'; see rank2_top.
 
-    A batch of one through rank2_top.
+    A batch of one through rank2_top. Raises ValueError if u or v has a
+    non-finite entry.
     """
-    lam, w = rank2_top(np.array([[u, v]], dtype=float))
+    uv = np.array([[u, v]], dtype=float)
+    for name, w in zip("uv", uv[0]):
+        if not np.isfinite(w).all():
+            raise ValueError(f"{name} must be finite")
+    lam, w = rank2_top(uv)
     return float(lam[0]), w[0]
 
 

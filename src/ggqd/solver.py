@@ -1,31 +1,26 @@
 """Maximization over both measurement directions and discord assembly.
 
-The fast path grids the northern b-hemisphere (g(-b) = g(b)), evaluates
-the exact a-reduction g(b) = max_a f(a, b) at every node, and polishes the
-best node with a safeguarded Riemannian Newton ascent of g on the sphere,
-from the closed-form gradient and Hessian of the rank-2 eigenvalue; the
-a-maximizer is then exact at the polished b. The data are first scaled by
-a power of two, which g - 1 follows exactly, so huge or tiny data neither
-overflow nor underflow. It is batched on stacked Bloch data x (n, 3),
-y (n, 3) and T (n, 3, 3): the grid and its monomials are built once, each
-state's grid costs one small matrix product against the monomials, the
-polishes of all states run in lockstep, and every a-maximizer and
-trace_cc comes from one stacked array operation. One state is a batch of
-one, and every stacked step treats each state on its own, so a state's
-result does not depend on its batch. The brute force oracle grids all
-four angles and polishes the best pair with a safeguarded Riemannian
-Newton ascent of f itself on the product of the two spheres, from f's own
-gradient and Hessian. It evaluates f directly and never touches the
-analytic reduction, so the two routes are independent; it scales its data
-by a power of two of its own. It is batched the same way: each state's
-grid is evaluated on its own, and the polishes of all states run in
-lockstep. Since f(-a, b) = f(a, -b) = f(a, b), the oracle grids only the
-northern hemisphere of each sphere, and it evaluates that grid one fixed
-block of a-rows at a time into one reused buffer, keeping only each
-a-row's maximum. ggqd_bloch hands both solvers at most _CHUNK states at a
-time. On X states (T diagonal, x and y along e3) the fast path meets the
-paper's closed form f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2),
-which the tests assert.
+Two solvers find f_max = max_{a,b} f(a, b) on stacked Bloch data x (n, 3),
+y (n, 3) and T (n, 3, 3); one state is a batch of one. Both scale each
+state's data by a power of two (_exact_scaling), which f - 1 follows
+exactly, grid northern hemispheres (f is even in a and in b), and polish
+each state's best node with _lockstep_newton: one safeguarded Riemannian
+Newton ascent that steps all states in lockstep, each on its own, so a
+state's result does not depend on its batch. ggqd_bloch hands both
+solvers at most _CHUNK states at a time.
+
+The fast path evaluates the exact a-reduction g(b) = max_a f(a, b) on a
+b-grid through cached monomials, polishes g on the sphere from the
+closed-form gradient and Hessian of the rank-2 eigenvalue, and recovers
+every exact a-maximizer and trace_cc with stacked array operations. On X
+states (T diagonal, x and y along e3) it meets the paper's closed form
+f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
+
+The brute force oracle, the independent check, grids all four angles,
+one fixed block of a-rows at a time into one reused buffer, and polishes
+f itself on the product of the two spheres from f's own gradient and
+Hessian. It never touches the a-reduction: the Newton driver sees only
+the terms, values and step solve that each solver hands it.
 
 GGQD(rho) = trace_cc(corr) - f_max / 4.
 """
@@ -54,12 +49,13 @@ _METHODS = ("fast", "oracle", "both")
 #: _orient counts components within this of 0 as 0.
 _ORIENT_TOL = 1e-6
 
-#: The fast path's Newton polish stops a state once its tangent gradient is
-#: at most _NEWTON_GRAD_TOL (in the scaled units of _scaled_data), tries
-#: each step at full length and halved up to _NEWTON_HALVINGS times, and
-#: takes at most _NEWTON_MAX_ITERATIONS steps (it needs 2 to 5). In both
-#: polishes a Newton step no shorter than _NEWTON_LAST_STEP times the
-#: Hessian's smallest curvature must raise the objective to be taken.
+#: Both Newton polishes run _lockstep_newton. It stops a state once its
+#: tangent gradient is at most _NEWTON_GRAD_TOL (in the solver's scaled
+#: units), tries each step at full length and halved up to
+#: _NEWTON_HALVINGS times, and takes at most _NEWTON_MAX_ITERATIONS steps
+#: (the fast path needs 2 to 5, the oracle 3 to 8). A Newton step no
+#: shorter than _NEWTON_LAST_STEP times the Hessian's smallest curvature
+#: must raise the objective to be taken.
 _NEWTON_GRAD_TOL = 1e-12
 _NEWTON_HALVINGS = 30
 _NEWTON_MAX_ITERATIONS = 50
@@ -68,11 +64,6 @@ _NEWTON_LAST_STEP = 1e-6
 _STEP_LENGTHS = 0.5 ** np.arange(_NEWTON_HALVINGS + 1)
 _EYE2 = np.eye(2)
 
-#: The oracle's Newton polish stops once its tangent gradient is at most
-#: _NEWTON_GRAD_TOL (in its own scaled units), halves its steps as the fast
-#: path does, and takes at most _ORACLE_MAX_ITERATIONS steps (it needs 3 to
-#: 8).
-_ORACLE_MAX_ITERATIONS = 50
 #: The oracle's tangent coordinates in the frame of a pair (a, b): rows 1
 #: and 2 of a's frame, then rows 1 and 2 of b's. _PAIR_SHIFT takes
 #: ((x.a)^2, (y.b)^2, s^2) to the curvature terms (a.grad, a.grad, b.grad,
@@ -170,21 +161,40 @@ def _grid_monomials() -> np.ndarray:
     return mono
 
 
-def _scaled_data(x: np.ndarray, y: np.ndarray, t: np.ndarray):
-    """The fast path's data for stacked x (n, 3), y (n, 3) and T (n, 3, 3), after an exact scaling.
+def _largest_entry(x, y, t):
+    """The largest |entry| of x (..., 3), y (..., 3) and T (..., 3, 3): one per state."""
+    return np.maximum(np.maximum(np.abs(x).max(axis=-1), np.abs(y).max(axis=-1)), np.abs(t).max(axis=(-2, -1)))
 
-    Each state's x, y and T are scaled by 2^-e, the power of two that puts
-    their largest entry in [0.5, 1). g - 1 is homogeneous of degree 2 in
-    (x, y, T), so on the original data it is 4^e times g - 1 on these,
-    exactly, and huge or tiny data neither overflow nor underflow. Returns
-    e (n,), the columns [K | c | y] (n, 3, 5) with K = T'T and c = T'x, and
-    p = |x|^2 (n,).
+
+def _exact_scaling(x: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """e (n,) and stacked x (n, 3), y (n, 3) and T (n, 3, 3), each state scaled by 2^-e.
+
+    2^-e is the power of two that puts the state's largest entry in
+    [0.5, 1). f - 1 and g - 1 are homogeneous of degree 2 in (x, y, T), so
+    on the original data they are 4^e times their values on these, exactly
+    (_f_max), and huge or tiny data neither overflow nor underflow.
     """
-    big = np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1))
-    e = np.frexp(np.maximum(big, np.abs(t).max(axis=(1, 2))))[1]
-    x = np.ldexp(x, -e[:, None])
-    y = np.ldexp(y, -e[:, None])
-    tt = np.ldexp(t, -e[:, None, None]).swapaxes(1, 2)
+    e = np.frexp(_largest_entry(x, y, t))[1]
+    return e, np.ldexp(x, -e[:, None]), np.ldexp(y, -e[:, None]), np.ldexp(t, -e[:, None, None])
+
+
+def _f_max(h: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 + 4^e h: f_max where h is max f - 1 on data _exact_scaling scaled by 2^-e. Raises if it overflows."""
+    with np.errstate(over="ignore"):
+        f_max = 1.0 + np.ldexp(h, 2 * e)
+    if np.count_nonzero(f_max == math.inf):
+        raise NonFiniteResultError("f_max overflows float64; the correlation data are too large")
+    return f_max
+
+
+def _scaled_data(x: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """The fast path's data for stacked x (n, 3), y (n, 3) and T (n, 3, 3), after _exact_scaling.
+
+    Returns e (n,), the columns [K | c | y] (n, 3, 5) with K = T'T and
+    c = T'x of the scaled data, and p = |x|^2 (n,).
+    """
+    e, x, y, t = _exact_scaling(x, y, t)
+    tt = t.swapaxes(1, 2)
     kcy = np.concatenate([tt @ tt.swapaxes(1, 2), tt @ x[..., None], y[..., None]], axis=2)
     return e, kcy, (x * x).sum(axis=1)
 
@@ -257,75 +267,110 @@ def _tangent_terms(kcy: np.ndarray, p: np.ndarray, b: np.ndarray):
     return frame, grad[:, 1:], hess[:, 1:, 1:] - grad[:, 0, None, None] * _EYE2
 
 
-def _newton_ascent(kcy, p, coef, b, h):
-    """Safeguarded Riemannian Newton ascent of g from each row of ``b``.
+def _lockstep_newton(z, h, terms, value, solve):
+    """Safeguarded Riemannian Newton ascent from each row of ``z``, all rows in lockstep.
 
-    ``kcy`` and ``p`` are as _scaled_data returns them, and ``h`` is g - 1
-    at the rows of ``b``, as reduced_over_a_monomials with ``coef``
-    evaluates it. All rows step in lockstep. A row whose tangent Hessian
-    is negative definite takes the Newton step; any other row takes the
-    gradient divided by a Gershgorin bound on that Hessian. Steps are
-    capped at length 1, and the point b + t * step is normalized back
-    onto the sphere. The longest of t = 1, 1/2, ..., 2^-_NEWTON_HALVINGS
-    that increases h strictly is taken. A row is done once its tangent
-    gradient is at most _NEWTON_GRAD_TOL, or no t increases h: near a
-    tangent gradient of 1e-8 a Newton step gains ~1e-16, the rounding of
-    h. Such a row still takes its Newton step d, unseen and as its last
-    one, if |d| <= _NEWTON_LAST_STEP det / |trace| of the Hessian, a lower
-    bound on |w| for w its eigenvalue nearest 0: the step gains at least
-    |w| |d|^2 / 2 while the quadratic model errs by O(|d|^3); h keeps the
-    larger value. A done row stays put, so every row follows exactly the
-    path it would follow alone, and h never decreases. Returns the final
-    b, h and each row's number of steps, which reaches
+    A row of ``z`` is one unit 3-vector (the fast path's b) or several side
+    by side (the oracle's (a, b)), and ``h`` is the objective there. ``sel``
+    picks the active rows of the solver's data: a slice while every row is
+    active, so the data are views, and their indices after that.
+    terms(sel, z) gives the tangent basis, gradient and Hessian at the
+    points z, and the gradient's length. solve(basis, grad, hess, gnorm),
+    with gnorm floored at _NEWTON_GRAD_TOL, gives each ambient step, capped
+    at length 1, and a test last(limit) for Newton steps d with
+    |d| <= limit |w|, w the Hessian's eigenvalue nearest 0 (or a lower
+    bound on |w|). value(sel, trial) gives the objective at trial points.
+
+    Each trial z + t step is normalized onto its sphere(s), and the longest
+    of t = 1, 1/2, ..., 2^-_NEWTON_HALVINGS that raises h strictly is taken.
+    A row is done once its tangent gradient is at most _NEWTON_GRAD_TOL, or
+    no t raises h: near a tangent gradient of 1e-8 a Newton step gains
+    ~1e-16, the rounding of h. Such a row still takes its Newton step,
+    unseen and as its last one, if last(_NEWTON_LAST_STEP) holds (tested
+    only on iterations where some row is done that way): the step gains at
+    least |w| |d|^2 / 2 while the quadratic model errs by O(|d|^3), and h
+    keeps the larger value. A done row stays put, so every row follows
+    exactly the path it would follow alone, and h never decreases. Returns
+    the final z, h and each row's number of steps, which reaches
     _NEWTON_MAX_ITERATIONS only if the cap cut it off.
     """
-    b, h = b.copy(), h.copy()
-    steps = np.zeros(len(b), dtype=int)
-    t = _STEP_LENGTHS
-    active = np.arange(len(b))
+    z, h = z.copy(), h.copy()
+    n = len(h)
+    steps = np.zeros(n, dtype=int)
+    t = _STEP_LENGTHS[:, None]
+    active = np.arange(n)
     for _ in range(_NEWTON_MAX_ITERATIONS):
         # while every row is active, views in place of fancy-indexed copies
-        sel = slice(None) if len(active) == len(b) else active
-        bk = b[sel]
-        frame, grad, hess = _tangent_terms(kcy[sel], p[sel], bk)
-        g1, g2 = grad[:, 0], grad[:, 1]
-        h11, h12, h22 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
-        gnorm = np.hypot(g1, g2)
+        sel = slice(None) if len(active) == n else active
+        zk = z[sel]
+        basis, grad, hess, gnorm = terms(sel, zk)
         live = gnorm > _NEWTON_GRAD_TOL
         if not np.count_nonzero(live):
             break
-        det = h11 * h22 - h12 * h12
-        newton = (h11 < 0.0) & (det > 0.0)
-        det = np.where(newton, det, 1.0)
         # at least the gradient's length, so a gradient step is at most 1 long
-        bound = np.maximum(np.maximum(abs(h11), abs(h22)) + abs(h12), np.maximum(gnorm, _NEWTON_GRAD_TOL))
-        d1 = np.where(newton, (h12 * g2 - h22 * g1) / det, g1 / bound)
-        d2 = np.where(newton, (h12 * g1 - h11 * g2) / det, g2 / bound)
-        length = np.hypot(d1, d2)
-        cap = 1.0 / np.maximum(length, 1.0)
-        step = (d1 * cap)[:, None] * frame[:, 1] + (d2 * cap)[:, None] * frame[:, 2]
-        trial = bk[:, None, :] + t[None, :, None] * step[:, None, :]
-        trial /= np.sqrt((trial * trial).sum(axis=2))[..., None]
-        ht = reduced_over_a_monomials(coef[sel], p[sel, None], direction_monomials(trial))
+        step, last_step = solve(basis, grad, hess, np.maximum(gnorm, _NEWTON_GRAD_TOL))
+        trial = zk[:, None] + t * step[:, None]
+        units = trial.reshape(-1, 3)  # a view: each unit 3-vector of each trial point
+        units /= np.sqrt((units * units).sum(axis=1))[:, None]
+        ht = value(sel, trial)
         better = ht > h[sel, None]
         moved = live & better.any(axis=1)
         stuck = live ^ moved
         if np.count_nonzero(stuck):
-            # |d| |trace| <= _NEWTON_LAST_STEP det, as trace < 0 on Newton rows
-            last = stuck & newton & (length * (h11 + h22) >= -_NEWTON_LAST_STEP * det)
+            last = stuck & last_step(_NEWTON_LAST_STEP)
             if np.count_nonzero(last):
                 done = active[last]
-                b[done] = trial[last, 0]
+                z[done] = trial[last, 0]
                 h[done] = np.maximum(h[done], ht[last, 0])
                 steps[done] += 1
         k = better.argmax(axis=1)[moved]
         active = active[moved]
-        b[active] = trial[moved, k]
+        z[active] = trial[moved, k]
         h[active] = ht[moved, k]
         steps[active] += 1
         if not len(active):
             break
-    return b, h, steps
+    return z, h, steps
+
+
+def _tangent_step(frame, grad, hess, gnorm):
+    """The fast path's step (n, 3) from _tangent_terms' frame, gradient and Hessian, and its last-step test.
+
+    Newton where the tangent Hessian is negative definite, solved in closed
+    form; elsewhere the gradient divided by the larger of a Gershgorin bound
+    on that Hessian and ``gnorm``. |w| is bounded below by det / |trace|.
+    """
+    g1, g2 = grad[:, 0], grad[:, 1]
+    h11, h12, h22 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+    det = h11 * h22 - h12 * h12
+    newton = (h11 < 0.0) & (det > 0.0)
+    det = np.where(newton, det, 1.0)
+    bound = np.maximum(np.maximum(abs(h11), abs(h22)) + abs(h12), gnorm)
+    d1 = np.where(newton, (h12 * g2 - h22 * g1) / det, g1 / bound)
+    d2 = np.where(newton, (h12 * g1 - h11 * g2) / det, g2 / bound)
+    length = np.hypot(d1, d2)
+    cap = 1.0 / np.maximum(length, 1.0)
+    step = (d1 * cap)[:, None] * frame[:, 1] + (d2 * cap)[:, None] * frame[:, 2]
+    # |d| |trace| <= limit det, as trace < 0 on Newton rows
+    return step, lambda limit: newton & (length * (h11 + h22) >= -limit * det)
+
+
+def _newton_ascent(kcy, p, coef, b, h):
+    """The fast path's polish: _lockstep_newton of g on the sphere from each row of ``b``.
+
+    ``kcy`` and ``p`` are as _scaled_data returns them, and ``h`` is g - 1
+    at the rows of ``b``, as reduced_over_a_monomials with ``coef``
+    evaluates it. Returns the final b, h and each row's number of steps.
+    """
+
+    def terms(sel, b):
+        frame, grad, hess = _tangent_terms(kcy[sel], p[sel], b)
+        return frame, grad, hess, np.hypot(grad[:, 0], grad[:, 1])
+
+    def value(sel, trial):
+        return reduced_over_a_monomials(coef[sel], p[sel, None], direction_monomials(trial))
+
+    return _lockstep_newton(b, h, terms, value, _tangent_step)
 
 
 def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
@@ -348,23 +393,17 @@ def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
         node = int(np.argmax(values))
         start[k], h[k] = mono[6:, node], values[node]
     b, h, _ = _newton_ascent(kcy, p, coef, start, h)
-
-    with np.errstate(over="ignore"):
-        f_max = 1.0 + np.ldexp(h, 2 * e)
-    if np.count_nonzero(f_max == math.inf):
-        raise NonFiniteResultError("f_max overflows float64; the correlation data are too large")
+    f_max = _f_max(h, e)
     a = rank2_top(np.concatenate([x[:, None, :], (t @ b[:, :, None]).swapaxes(1, 2)], axis=1))[1]
     ab = _orient(np.concatenate([a[:, None, :], b[:, None, :]], axis=1))
     return f_max, ab[:, 0], ab[:, 1]
 
 
 def maximize_objective(corr: CorrelationData):
-    """Maximize f over both directions via the exact a-reduction.
+    """Maximize f over both directions via the exact a-reduction: (f_max, a_star, b_star).
 
-    Returns (f_max, a_star, b_star). The northern b-hemisphere is gridded
-    at a 2 degree step, the best node is polished by a safeguarded Newton
-    ascent on the sphere, and a_star is the exact top eigenvector at the
-    final b. A batch of one through the batched solve.
+    A batch of one through _maximize_many: a 2 degree b-hemisphere grid, a
+    Newton polish of g, and a_star the exact top eigenvector at the final b.
     """
     f_max, a_star, b_star = _maximize_many(corr.x[None], corr.y[None], corr.T[None])
     return float(f_max[0]), a_star[0], b_star[0]
@@ -420,81 +459,48 @@ def _oracle_terms(p, j, z):
     return f[:, _PAIR_TANGENT], grad, hess
 
 
+def _oracle_step(basis, grad, hess, gnorm):
+    """The oracle's step (n, 6) from _oracle_terms' basis, gradient and Hessian, and its last-step test.
+
+    Newton where the Riemannian Hessian is negative definite, from one
+    stacked eigh; elsewhere the gradient divided by the larger of the
+    Hessian's spectral radius and ``gnorm``. |w| is the top eigenvalue's.
+    """
+    w, v = np.linalg.eigh(hess)
+    top = w[:, -1]
+    newton = top < 0.0
+    bound = np.maximum(np.maximum(-w[:, 0], top), gnorm)
+    d = (grad[:, None] @ v)[:, 0] / np.where(newton[:, None], -w, bound[:, None])
+    d = (v @ d[:, :, None])[:, :, 0]
+    length = np.sqrt((d * d).sum(axis=1))
+    step = (d[:, None] @ basis)[:, 0] / np.maximum(length, 1.0)[:, None]
+    return step, lambda limit: newton & (length <= limit * -top)
+
+
 def _oracle_newton(x, y, t, a, b, h):
-    """Safeguarded Riemannian Newton ascent of f on S^2 x S^2 from each pair of unit rows of ``a`` and ``b``.
+    """The oracle's polish: _lockstep_newton of f on S^2 x S^2 from each pair of unit rows of ``a`` and ``b``.
 
     ``x``, ``y`` and ``t`` are stacked (n, 3), (n, 3) and (n, 3, 3), and
-    ``h`` is f - 1 at the rows of (a, b). All rows step in lockstep. Where
-    a row's Riemannian Hessian is negative definite its step is the Newton
-    step; elsewhere it is the gradient divided by the larger of the
-    Hessian's spectral radius and the gradient's length. Steps are capped
-    at length 1, and the new pair is (normalize(a + t da), normalize(b + t
-    db)) for the longest of t = 1, 1/2, ..., 2^-_NEWTON_HALVINGS that
-    increases h strictly. A row is done once its tangent gradient is at
-    most _NEWTON_GRAD_TOL or no t increases h. Near a tangent gradient of
-    1e-8 a Newton step gains ~1e-16, the rounding of h, so no comparison of
-    values can see it; a Newton step d with |d| <= _NEWTON_LAST_STEP |w|, w
-    the Hessian's eigenvalue nearest 0, gains at least |w| |d|^2 / 2 while
-    the quadratic model errs by O(|d|^3), so such a step is taken unseen as
-    the row's last one, and h keeps the larger value. A done row stays put,
-    so every row follows exactly the path it would follow alone, and h
-    never decreases. Returns the final a, b, h and each row's number of
-    steps, which reaches _ORACLE_MAX_ITERATIONS only if the cap cut it off.
+    ``h`` is f - 1 at the rows of (a, b); nothing of the a-reduction is
+    used. Returns the final a, b, h and each row's number of steps.
     """
     p, j = _oracle_data(x, y, t)
-    z, h = np.concatenate([a, b], axis=1), h.copy()
-    n = len(h)
-    steps = np.zeros(n, dtype=int)
-    t_len = _STEP_LENGTHS[:, None]
-    active = np.arange(n)
-    for _ in range(_ORACLE_MAX_ITERATIONS):
-        # while every row is active, views in place of fancy-indexed copies
-        sel = slice(None) if len(active) == n else active
-        pk, jk, zk = p[sel], j[sel], z[sel]
-        basis, grad, hess = _oracle_terms(pk, jk, zk)
-        gnorm = np.sqrt((grad * grad).sum(axis=1))
-        live = gnorm > _NEWTON_GRAD_TOL
-        if not np.count_nonzero(live):
-            break
-        w, v = np.linalg.eigh(hess)
-        top = w[:, -1]
-        newton = top < 0.0
-        # at least the gradient's length, so a gradient step is at most 1 long
-        bound = np.maximum(np.maximum(-w[:, 0], top), np.maximum(gnorm, _NEWTON_GRAD_TOL))
-        d = (grad[:, None] @ v)[:, 0] / np.where(newton[:, None], -w, bound[:, None])
-        d = (v @ d[:, :, None])[:, :, 0]
-        length = np.sqrt((d * d).sum(axis=1))
-        step = (d[:, None] @ basis)[:, 0] / np.maximum(length, 1.0)[:, None]
-        trial = (zk[:, None] + t_len * step[:, None]).reshape(-1, len(t_len), 2, 3)
-        trial /= np.sqrt((trial * trial).sum(axis=3))[..., None]
-        trial = trial.reshape(-1, len(t_len), 6)
-        ht = _oracle_excess(pk, jk, trial)
-        better = ht > h[sel, None]
-        moved = live & better.any(axis=1)
-        stuck = live ^ moved
-        if np.count_nonzero(stuck):
-            last = stuck & newton & (length <= _NEWTON_LAST_STEP * -top)
-            if np.count_nonzero(last):
-                done = active[last]
-                z[done] = trial[last, 0]
-                h[done] = np.maximum(h[done], ht[last, 0])
-                steps[done] += 1
-        k = better.argmax(axis=1)[moved]
-        active = active[moved]
-        z[active] = trial[moved, k]
-        h[active] = ht[moved, k]
-        steps[active] += 1
-        if not len(active):
-            break
+
+    def terms(sel, z):
+        basis, grad, hess = _oracle_terms(p[sel], j[sel], z)
+        return basis, grad, hess, np.sqrt((grad * grad).sum(axis=1))
+
+    def value(sel, trial):
+        return _oracle_excess(p[sel], j[sel], trial)
+
+    z, h, steps = _lockstep_newton(np.concatenate([a, b], axis=1), h, terms, value, _oracle_step)
     return z[:, :3], z[:, 3:], h, steps
 
 
 def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     """The oracle on stacked x (n, 3), y (n, 3) and T (n, 3, 3), as one batch: 4-angle grid, then Newton on f.
 
-    Each state's x, y and T are first scaled by 2^-e, the power of two that
-    puts their largest entry in [0.5, 1); f - 1 is homogeneous of degree 2
-    in them, so f_max = 1 + 4^e max(f - 1) on the scaled data, exactly.
+    The data are first scaled by _exact_scaling, as the fast path's are.
     Both northern hemispheres are gridded at a 5 degree step. For each
     state, the maximum over b of (a'Tb)^2 + (y.b)^2 is taken at every grid
     a, _ORACLE_BLOCK a-rows at a time in one reused buffer, and (x.a)^2 is
@@ -505,9 +511,7 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     oriented by _orient; row k is bit for bit what a batch of state k alone
     returns. Raises NonFiniteResultError if an f_max overflows float64.
     """
-    big = np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1))
-    e = np.frexp(np.maximum(big, np.abs(t).max(axis=(1, 2))))[1]
-    x, y, t = np.ldexp(x, -e[:, None]), np.ldexp(y, -e[:, None]), np.ldexp(t, -e[:, None, None])
+    e, x, y, t = _exact_scaling(x, y, t)
     grid = _direction_grid()[0]
     buf = np.empty((_ORACLE_BLOCK, len(grid)))
     row_max = np.empty(len(grid))
@@ -531,11 +535,7 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
         a[k], b[k], h[k] = grid[ia], grid[ib], row[ib] + xa2[ia]
 
     a, b, h, _ = _oracle_newton(x, y, t, a, b, h)
-    with np.errstate(over="ignore"):
-        f_max = 1.0 + np.ldexp(h, 2 * e)
-    if np.count_nonzero(f_max == math.inf):
-        raise NonFiniteResultError("f_max overflows float64; the correlation data are too large")
-    return f_max, _orient(a), _orient(b)
+    return _f_max(h, e), _orient(a), _orient(b)
 
 
 def _oracle_search(corr: CorrelationData):
@@ -587,21 +587,19 @@ def ggqd_bloch(x, y, t, method: str = "fast") -> list[GgqdResult]:
     """Geometric global quantum discord of stacked Bloch data, solved as one batch.
 
     ``x`` and ``y`` are (n, 3) and ``t`` is (n, 3, 3), for example from
-    pauli_decompose_stack. The fast path (also under ``both``) evaluates
-    each state's b-grid on its own, polishes all states in lockstep and
-    recovers every a_star and trace_cc with stacked array operations; the
-    oracle (``oracle``, and the check under ``both``) evaluates each
-    state's grid on its own and polishes all states in lockstep too. Both
-    solve _CHUNK states at a time, so the working set stays bounded. See
-    :func:`ggqd` for the methods. Raises ValueError naming the first state
-    with a non-finite entry, and NonFiniteResultError if an f_max or
-    trace_cc overflows float64.
+    pauli_decompose_stack. Each solver runs _CHUNK states at a time, so the
+    working set stays bounded. See :func:`ggqd` for the methods. Raises
+    ValueError for other shapes or naming the first state with a non-finite
+    entry, and NonFiniteResultError if an f_max or trace_cc overflows
+    float64.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'; expected one of {_METHODS}")
+    x, y, t = (np.ascontiguousarray(v, dtype=float) for v in (x, y, t))
+    if x.shape[1:] != (3,) or y.shape != x.shape or t.shape != x.shape + (3,):
+        raise ValueError(f"x, y and T must be (n, 3), (n, 3) and (n, 3, 3); got {x.shape}, {y.shape}, {t.shape}")
     if not len(x):
         return []
-    x, y, t = (np.ascontiguousarray(v, dtype=float) for v in (x, y, t))
     finite = np.isfinite(np.concatenate([x, y, t.reshape(len(t), 9)], axis=1))
     if not finite.all():
         k = int(np.argmin(finite.all(axis=1)))
@@ -621,12 +619,8 @@ def ggqd_bloch(x, y, t, method: str = "fast") -> list[GgqdResult]:
     name = "oracle" if method == "oracle" else "fast"
     # each result owns its vectors, rather than views that keep the whole batch alive
     return [
-        GgqdResult(
-            ggqd=g, f_max=f, a_star=a.copy(), b_star=b.copy(), trace_cc=c, method=name, oracle_gap=gap
-        )
-        for g, f, a, b, c, gap in zip(
-            (tcc - 0.25 * f_max).tolist(), f_max.tolist(), a_star, b_star, tcc.tolist(), gaps
-        )
+        GgqdResult(ggqd=g, f_max=f, a_star=a.copy(), b_star=b.copy(), trace_cc=c, method=name, oracle_gap=gap)
+        for g, f, a, b, c, gap in zip((tcc - 0.25 * f_max).tolist(), f_max.tolist(), a_star, b_star, tcc.tolist(), gaps)
     ]
 
 

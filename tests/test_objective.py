@@ -134,6 +134,15 @@ def test_rank2_tiny_and_huge_inputs(scale):
     assert np.allclose(np.abs(vec), E1, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["u", "v"])
+def test_rank2_rejects_non_finite_input(name, bad):
+    uv = {"u": np.array([0.3, -0.4, 0.5]), "v": np.array([0.1, 0.7, 0.2])}
+    uv[name][0] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        rank2_lambda_max(uv["u"], uv["v"])
+
+
 def test_rank2_against_characteristic_polynomial():
     rng = np.random.default_rng(77)
     for _ in range(1000):

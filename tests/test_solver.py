@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -35,7 +36,6 @@ import ggqd.solver as solver_mod
 from ggqd.objective import objective_rows, rank2_lambda_max
 from ggqd.solver import (
     _NEWTON_MAX_ITERATIONS,
-    _ORACLE_MAX_ITERATIONS,
     _bloch_stack,
     _derivatives,
     _direction_grid,
@@ -435,7 +435,8 @@ def test_fast_path_runs_no_compass_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("the fast path called the oracle's polish")
 
-    monkeypatch.setattr(solver_mod, "_oracle_newton", refuse)
+    for name in ("_oracle_newton", "_oracle_terms", "_oracle_excess", "_oracle_step"):
+        monkeypatch.setattr(solver_mod, name, refuse)
     assert abs(maximize_objective(bell_corr(0.5))[0] - 2.0) <= 1e-12
     assert ggqd_many([random_state(3), random_state(4)])[0].method == "fast"
 
@@ -585,7 +586,7 @@ def test_oracle_newton_optimality_evidence(monkeypatch):
     _, a_star, b_star = solver_mod._oracle_many(*stacked(corrs))
     (h_grid, h_star, steps), = runs
     assert (h_star >= h_grid).all()
-    assert steps.max() < _ORACLE_MAX_ITERATIONS
+    assert steps.max() < _NEWTON_MAX_ITERATIONS
     _, grad, hess = _oracle_terms(*_oracle_data(*stacked(corrs)), np.concatenate([a_star, b_star], axis=1))
     assert np.sqrt((grad * grad).sum(axis=1)).max() <= 1e-8
     assert np.linalg.eigvalsh(hess).max() <= 1e-8
@@ -618,7 +619,8 @@ def test_oracle_is_independent_of_the_reduction(monkeypatch):
         raise AssertionError("the oracle called the reduction")
 
     for name in ("rank2_top", "reduced_over_a_monomials", "reduction_coefficients", "direction_monomials",
-                 "_scaled_data", "_derivatives", "_tangent_terms", "_newton_ascent", "_maximize_many"):
+                 "_scaled_data", "_derivatives", "_tangent_terms", "_tangent_step", "_newton_ascent",
+                 "_maximize_many"):
         monkeypatch.setattr(solver_mod, name, refuse)
     assert [brute_force_oracle(corr) for corr in corrs] == want
     assert abs(want[1] - 2.0) <= 1e-12 and want[2] == 1.0
@@ -724,6 +726,17 @@ def test_ggqd_bloch_rejects_non_finite_data(method, field):
         ggqd_bloch(x, y, t, method=method)
     with pytest.raises(ValueError, match=f"state 0: {field} must be finite"):
         ggqd_bloch(x[2:], y[2:], t[2:], method=method)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((2, 3), (2, 3), (3, 3, 3)), ((2, 3), (2, 3), (2, 9)), ((3,), (3,), (3, 3))],
+    ids=["batch-sizes-differ", "flat-T", "one-state-unstacked"],
+)
+def test_ggqd_bloch_rejects_wrong_shapes(shapes):
+    want = "x, y and T must be (n, 3), (n, 3) and (n, 3, 3); got " + ", ".join(map(str, shapes))
+    with pytest.raises(ValueError, match=re.escape(want)):
+        ggqd_bloch(*(np.zeros(shape) for shape in shapes))
 
 
 def test_ggqd_bloch_solves_in_bounded_chunks(monkeypatch):
