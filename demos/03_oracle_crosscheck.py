@@ -6,10 +6,12 @@ formula, and polishes the best node with a few Newton steps on the sphere;
 the oracle grinds through all four measurement angles and never touches
 the reduction. Since f is even in a and in b, it grids the northern
 hemisphere of each sphere only (73 x 19 = 1,387 nodes, so 1,923,769
-objective evaluations at its 5 degree step), evaluated one 64-row block
-at a time, and polishes the best pair with a few Newton steps of f itself
-on both spheres at once. Agreement on random states is the strongest
-correctness evidence the package ships.
+objective evaluations at its 5 degree step). It writes (a'Tb)^2 + (y.b)^2,
+a quadratic form in b, as six weights of the monomials b_i b_j, evaluates
+64 rows of a at a time with one matmul and a row max, and polishes the
+best pair with a few Newton steps of f itself on both spheres at once.
+Agreement on random states is the strongest correctness evidence the
+package ships.
 """
 
 import time

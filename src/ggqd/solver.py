@@ -17,10 +17,12 @@ states (T diagonal, x and y along e3) it meets the paper's closed form
 f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
 
 The brute force oracle, the independent check, grids all four angles,
-one fixed block of a-rows at a time into one reused buffer, and polishes
-f itself on the product of the two spheres from f's own gradient and
-Hessian. It never touches the a-reduction: the Newton driver sees only
-the terms, values and step solve that each solver hands it.
+one fixed block of a-rows at a time into one reused buffer (one product
+of per-a quadratic-form weights with the b-grid's pair monomials), and
+polishes f itself on the product of the two spheres from f's own
+gradient and Hessian. It never touches the a-reduction: the Newton
+driver sees only the terms, values and step solve that each solver
+hands it.
 
 GGQD(rho) = trace_cc(corr) - f_max / 4.
 """
@@ -82,9 +84,15 @@ _EYE4 = np.eye(4)
 _B_GRID_STEP = 0.035
 _ORACLE_STEP = 0.087
 
-#: The oracle evaluates its grid this many a-rows at a time: a 64 x 1,387
-#: float64 block is ~0.7 MB, which stays in L2, where the full objective
-#: array would take 15 MB.
+#: The index pairs (i, j), i <= j, of the oracle's pair monomials b_i b_j,
+#: and the weight of each in a quadratic form: 2 off the diagonal.
+_ORACLE_PAIRS = np.array(np.triu_indices(3))
+_ORACLE_PAIR_WEIGHTS = np.where(_ORACLE_PAIRS[0] == _ORACLE_PAIRS[1], 1.0, 2.0)
+
+#: The oracle evaluates its grid this many a-rows at a time, each block one
+#: K = 6 matmul into a reused buffer and one row max: a 64 x 1,387 float64
+#: block is ~0.7 MB, which stays in L2, where the full objective array
+#: would take 15 MB. 64 rows timed no slower than 32 or 48 per state.
 _ORACLE_BLOCK = 64
 
 #: ggqd_bloch hands its solvers this many states at a time. Their lockstep
@@ -137,14 +145,19 @@ def _grid_angles(step: float) -> np.ndarray:
 
 @functools.cache
 def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
-    """All unit vectors of the oracle's northern-hemisphere (azimuth, polar) grid, and their angle pairs.
+    """The oracle's northern-hemisphere unit vectors (m, 3) and their pair monomials (6, m), read-only.
 
-    Built on first use and shared read-only.
+    Row r of the monomials is b_i b_j for (i, j) = _ORACLE_PAIRS[:, r], one
+    column per vector, so a weighted sum of the rows is a quadratic form in
+    b. Built on first use and shared.
     """
     angles = _grid_angles(_ORACLE_STEP)
     bs = sphere_direction(angles[:, 0], angles[:, 1])
-    bs.setflags(write=False)
-    return bs, angles
+    i, j = _ORACLE_PAIRS
+    pairs = np.ascontiguousarray((bs[:, i] * bs[:, j]).T)
+    for arr in (bs, pairs):
+        arr.setflags(write=False)
+    return bs, pairs
 
 
 @functools.cache
@@ -497,40 +510,55 @@ def _oracle_newton(x, y, t, a, b, h):
     return z[:, :3], z[:, 3:], h, steps
 
 
+def _pair_weights(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The weights (m, 6) of the quadratic forms b'(uu' + yy')b, one per row u of ``u`` (m, 3).
+
+    Row r times _direction_grid's pair monomials is (u_r.b)^2 + (y.b)^2 at
+    every grid b.
+    """
+    i, j = _ORACLE_PAIRS
+    w = u[:, i] * u[:, j]
+    w += y[i] * y[j]
+    w *= _ORACLE_PAIR_WEIGHTS
+    return w
+
+
 def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     """The oracle on stacked x (n, 3), y (n, 3) and T (n, 3, 3), as one batch: 4-angle grid, then Newton on f.
 
     The data are first scaled by _exact_scaling, as the fast path's are.
     Both northern hemispheres are gridded at a 5 degree step. For each
-    state, the maximum over b of (a'Tb)^2 + (y.b)^2 is taken at every grid
-    a, _ORACLE_BLOCK a-rows at a time in one reused buffer, and (x.a)^2 is
-    added to these row maxima once. The start pair is the first best row
-    and that row's first best column; _oracle_newton polishes all states'
-    pairs in lockstep on both spheres at once. No step uses the analytic
-    a-reduction. Returns f_max (n,), a_star (n, 3) and b_star (n, 3), both
-    oriented by _orient; row k is bit for bit what a batch of state k alone
-    returns. Raises NonFiniteResultError if an f_max overflows float64.
+    state, (a'Tb)^2 + (y.b)^2 = b'(uu' + yy')b with u = T'a is a quadratic
+    form in b, so each grid a gets its 6 pair weights (_pair_weights) once.
+    _ORACLE_BLOCK a-rows at a time, one matmul of those weights with the
+    grid's pair monomials fills one reused buffer with the form at every
+    grid b, and a row max keeps each a's maximum over b. (x.a)^2 is added
+    to these row maxima once. The best row's values are then recomputed in
+    the direct form (a'Tb)^2 + (y.b)^2; the start pair is the first best
+    row and that row's first best column, and its f - 1 the direct form's.
+    _oracle_newton polishes all states' pairs in lockstep on both spheres
+    at once. No step uses the analytic a-reduction. Returns f_max (n,),
+    a_star (n, 3) and b_star (n, 3), both oriented by _orient; row k is bit
+    for bit what a batch of state k alone returns. Raises
+    NonFiniteResultError if an f_max overflows float64.
     """
     e, x, y, t = _exact_scaling(x, y, t)
-    grid = _direction_grid()[0]
+    grid, pairs = _direction_grid()
     buf = np.empty((_ORACLE_BLOCK, len(grid)))
     row_max = np.empty(len(grid))
     a, b, h = np.empty((len(x), 3)), np.empty((len(x), 3)), np.empty(len(x))
     for k in range(len(x)):
-        tb = t[k] @ grid.T
-        yb2 = np.square(grid @ y[k])
+        weights = _pair_weights(grid @ t[k], y[k])  # row r for a = grid[r], as T'a = (a'T)'
         for lo in range(0, len(grid), _ORACLE_BLOCK):
             rows = slice(lo, lo + _ORACLE_BLOCK)
             f = buf[: len(row_max[rows])]
-            np.matmul(grid[rows], tb, out=f)
-            np.square(f, out=f)
-            f += yb2
+            np.matmul(weights[rows], pairs, out=f)
             f.max(axis=1, out=row_max[rows])
         xa2 = np.square(grid @ x[k])
         row_max += xa2
         ia = int(np.argmax(row_max))
-        row = np.square(grid[ia] @ tb)
-        row += yb2
+        row = np.square(grid[ia] @ (t[k] @ grid.T))
+        row += np.square(grid @ y[k])
         ib = int(np.argmax(row))
         a[k], b[k], h[k] = grid[ia], grid[ib], row[ib] + xa2[ia]
 

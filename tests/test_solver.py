@@ -137,12 +137,34 @@ def test_oracle_blocked_grid_matches_full_grid(monkeypatch):
     # with the polish switched off the oracle returns its best grid node
     monkeypatch.setattr(solver_mod, "_oracle_newton", lambda x, y, t, a, b, h: (a, b, h, 0))
     bs = _direction_grid()[0]
-    for seed in range(3):
-        corr = pauli_decompose(random_state(seed))
+    corrs = [pauli_decompose(random_state(seed)) for seed in range(3)]
+    corrs += [corr for corr, _ in _DEGENERATE_CASE_VALUES]
+    for corr in corrs:
         full = objective_rows(corr, bs[:, None, :], bs[None, :, :])
         f_grid, a_star, b_star = solver_mod._oracle_search(corr)
         assert abs(f_grid - full.max()) <= 1e-12
         assert abs(objective_f(corr, (a_star, b_star)) - f_grid) <= 1e-12
+
+    # a stacked batch grids each state on its own
+    corrs = [pauli_decompose(random_state(seed)) for seed in range(100, 141)]
+    f_grid, a_star, b_star = solver_mod._oracle_many(*stacked(corrs))
+    for corr, f, a, b in zip(corrs, f_grid, a_star, b_star):
+        full = objective_rows(corr, bs[:, None, :], bs[None, :, :])
+        assert abs(f - full.max()) <= 1e-12
+        assert abs(objective_f(corr, (a, b)) - f) <= 1e-12
+
+
+def test_oracle_pair_monomial_values_match_the_direct_form():
+    # b'(uu' + yy')b through the pair weights and monomials is (a'Tb)^2 + (y.b)^2 at every grid node
+    bs, pairs = _direction_grid()
+    for seed in range(20):
+        corr = pauli_decompose(random_state(200 + seed))
+        values = solver_mod._pair_weights(bs @ corr.T, corr.y) @ pairs
+        direct = np.square(bs @ corr.T @ bs.T) + np.square(bs @ corr.y)[None, :]
+        assert np.abs(values - direct).max() <= 1e-14
+        assert np.argmax(values) == np.argmax(direct)
+        xa2 = np.square(bs @ corr.x)
+        assert np.argmax(values.max(axis=1) + xa2) == np.argmax(direct.max(axis=1) + xa2)
 
 
 def test_oracle_memory():
@@ -155,9 +177,10 @@ def test_oracle_memory():
         tracemalloc.stop()
     assert peak < 2e6
 
-    # 41 states in one batch: the one reused 64-row block and the grid products
-    # (~0.82 MB, as for one state) plus ~7 KB per state for the lockstep
-    # polish; 1.10 MB measured, where one block per state would take 29 MB
+    # 41 states in one batch: the one reused 64-row block, the grid products
+    # and one state's pair weights (~0.96 MB, as for one state; 1.06 MB on the
+    # first call, which builds the grid) plus ~7 KB per state for the lockstep
+    # polish; 1.12 MB measured, where one block per state would take 29 MB
     data = stacked([pauli_decompose(random_state(seed)) for seed in range(41)])
     tracemalloc.start()
     try:
@@ -802,16 +825,21 @@ def test_ggqd_many_inputs():
 
 
 def test_grid_caches_are_read_only():
-    bs, b_angles = _direction_grid()
+    bs, pairs = _direction_grid()
     mono = _grid_monomials()
     angles = solver_mod._grid_angles(solver_mod._B_GRID_STEP)
-    assert _direction_grid()[0] is bs and _grid_monomials() is mono
+    b_angles = solver_mod._grid_angles(solver_mod._ORACLE_STEP)
+    assert _direction_grid()[0] is bs and _direction_grid()[1] is pairs and _grid_monomials() is mono
     assert len(angles) == 8280 and len(bs) == 1387
     assert (bs[:, 2] >= -1e-12).all() and (mono[8] >= -1e-12).all()
     assert np.array_equal(bs, sphere_direction(b_angles[:, 0], b_angles[:, 1]))
+    assert pairs.shape == (6, len(bs)) and pairs.flags.c_contiguous
+    for row, (i, j) in enumerate(zip(*solver_mod._ORACLE_PAIRS)):
+        assert np.array_equal(pairs[row], bs[:, i] * bs[:, j])
+    assert sorted(zip(*solver_mod._ORACLE_PAIRS)) == [(i, j) for i in range(3) for j in range(i, 3)]
     assert mono.shape == (9, len(angles)) and mono.flags.c_contiguous
     assert np.array_equal(mono[6:], sphere_direction(angles[:, 0], angles[:, 1]).T)
-    for arr in (bs, b_angles, angles, mono):
+    for arr in (bs, pairs, b_angles, angles, mono):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
