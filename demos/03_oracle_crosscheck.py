@@ -6,10 +6,14 @@ formula, and polishes the best node with a few Newton steps on the sphere;
 the oracle grinds through all four measurement angles and never touches
 the reduction. Since f is even in a and in b, it grids the northern
 hemisphere of each sphere only (73 x 19 = 1,387 nodes, so 1,923,769
-objective evaluations at its 5 degree step). It writes (a'Tb)^2 + (y.b)^2,
-a quadratic form in b, as six weights of the monomials b_i b_j, evaluates
-64 rows of a at a time with one matmul and a row max, and polishes the
-best pair with a few Newton steps of f itself on both spheres at once.
+pairs at its 5 degree step). It writes (a'Tb)^2 + (y.b)^2, a quadratic
+form in b, as six weights of the monomials b_i b_j, and bounds each row
+of a by the form's trace. It visits the rows by descending bound, 64 at
+a time with one matmul and a row max, and stops once no row left can
+reach the best, so its best pair is the full grid's (a median of 67
+rows of 1,387, and a 90th percentile of 478, on random states). It
+polishes that pair with a few Newton steps of f itself on both spheres
+at once.
 Agreement on random states is the strongest correctness evidence the
 package ships.
 """

@@ -99,29 +99,30 @@ def rank2_top(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalue beyond float64 does, to inf. Every stacked step treats each
     pair on its own, so row k is bit for bit the result for pair k alone.
     """
-    big = np.abs(uv).max(axis=(1, 2))
-    e = np.frexp(big)[1]
-    uv = np.ldexp(uv, -e[:, None, None])
+    big = np.abs(uv).max(axis=(1, 2), keepdims=True)
+    e = np.frexp(big)[1]  # (n, 1, 1)
+    uv = np.ldexp(uv, -e)
     gram = uv @ uv.swapaxes(1, 2)
     p, q, r = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
     pr = p + r
     s = np.hypot(p - r, 2.0 * q)
     lam = 0.5 * (pr + s)
 
-    d = lam[:, None] - gram.reshape(-1, 4)[:, ::3]  # lam - p, lam - r
-    n12 = d * d + (q * q)[:, None]
-    first = n12[:, 0] >= n12[:, 1]
-    alpha = np.where(first, q, d[:, 1])
-    beta = np.where(first, d[:, 0], q)
+    # (alpha, beta) is orthogonal to the longer row, (lam - p, -q) or (-q, lam - r), of lam I - gram
+    d0, d1 = lam - p, lam - r
+    qq = q * q
+    first = d0 * d0 + qq >= d1 * d1 + qq
+    alpha = np.where(first, q, d1)
+    beta = np.where(first, d0, q)
     w = alpha[:, None] * uv[:, 0] + beta[:, None] * uv[:, 1]
     split = s > 1e-14 * pr
     if np.count_nonzero(split) < len(split):  # degenerate form: every span direction achieves lam
         both = uv[:, 0] + uv[:, 1]
         tie = np.where((np.abs(both).max(axis=1) > 0.0)[:, None], both, uv[:, 0])
         w = np.where(split[:, None], w, tie)
-        w[big == 0.0] = (0.0, 0.0, 1.0)
+        w[big[:, 0, 0] == 0.0] = (0.0, 0.0, 1.0)
     w /= np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0])
-    return np.ldexp(lam, 2 * e), w
+    return np.ldexp(lam, 2 * e[:, 0, 0]), w
 
 
 def rank2_lambda_max(u, v) -> tuple[float, np.ndarray]:

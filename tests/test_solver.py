@@ -154,6 +154,69 @@ def test_oracle_blocked_grid_matches_full_grid(monkeypatch):
         assert abs(objective_f(corr, (a, b)) - f) <= 1e-12
 
 
+def test_oracle_start_is_the_full_grids_first_best_node(monkeypatch):
+    # the rows the bound skips cannot move the start: it is the first best node of every row's values
+    starts = []
+    monkeypatch.setattr(solver_mod, "_oracle_newton",
+                        lambda x, y, t, a, b, h: starts.append((a, b, h)) or (a, b, h, 0))
+    bs, pairs = _direction_grid()
+    ginibre = [pauli_decompose(random_state(seed)) for seed in range(200)]
+    degenerate = [corr for corr, _ in _DEGENERATE_CASE_VALUES]
+    batch = [pauli_decompose(random_state(seed)) for seed in range(100, 141)]
+    for corr in ginibre + degenerate:
+        solver_mod._oracle_search(corr)
+    solver_mod._oracle_many(*stacked(batch))
+    a, b, h = (np.concatenate(parts) for parts in zip(*starts))
+    assert len(h) == 250
+
+    for k, corr in enumerate(ginibre + degenerate + batch):
+        _, (x,), (y,), (t,) = solver_mod._exact_scaling(*stacked([corr]))
+        xa2 = np.square(bs @ x)
+        # every row's value, by the grid's own kernel
+        whole = (solver_mod._pair_weights(bs @ t, y) @ pairs).max(axis=1) + xa2
+        ia = np.argmax(whole)
+        row = np.square(bs[ia] @ (t @ bs.T)) + np.square(bs @ y)
+        ib = np.argmax(row)
+        assert np.array_equal(a[k], bs[ia]) and np.array_equal(b[k], bs[ib]) and h[k] == row[ib] + xa2[ia]
+
+        direct = np.square(bs @ t @ bs.T) + np.square(bs @ y) + xa2[:, None]
+        assert abs(h[k] - direct.max()) <= 4e-15
+        if not 200 <= k < 209:
+            # the same node as the direct form's first best; on the degenerate cases the two
+            # forms' last-bit rounding breaks the ties between equal maxima differently
+            ia, ib = np.unravel_index(np.argmax(direct), direct.shape)
+            assert np.array_equal(a[k], bs[ia]) and np.array_equal(b[k], bs[ib])
+
+
+def test_oracle_row_bounds_hold_and_prune(monkeypatch):
+    bs, pairs = _direction_grid()
+    weights, blocks = solver_mod._pair_weights, []
+    monkeypatch.setattr(solver_mod, "_pair_weights", lambda u, y: blocks.append(len(u)) or weights(u, y))
+
+    def rows_evaluated(corr):
+        blocks.clear()
+        brute_force_oracle(corr)
+        # a one-row product goes to gemv, which rounds unlike the other blocks
+        assert min(blocks) >= 2
+        return sum(blocks)
+
+    # after its full blocks, seed 270 has one row left that may reach the best
+    corrs = [pauli_decompose(random_state(seed)) for seed in [*range(50), 270]]
+    corrs += [corr for corr, _ in _DEGENERATE_CASE_VALUES]
+    for corr in corrs:
+        rows_evaluated(corr)
+        _, (x,), (y,), (t,) = solver_mod._exact_scaling(*stacked([corr]))
+        u, xa2, bound = solver_mod._oracle_bounds(bs, x, y, t)
+        values = (weights(u, y) @ pairs).max(axis=1) + xa2
+        assert (values <= bound + solver_mod._ORACLE_BOUND_MARGIN).all()
+
+    assert rows_evaluated(pauli_decompose(random_state(3))) < len(bs)
+    # rank-1 forms uu' with |u| the same for every a: every bound is tight, and every row is visited
+    for corr in [pauli_decompose(generate_state(StateFamilySpec("werner", {"p": p}))) for p in (0.3, 0.7, 1.0)]:
+        assert rows_evaluated(corr) == len(bs)
+    assert rows_evaluated(pauli_decompose(generate_state(StateFamilySpec("bell_phi_plus")))) == len(bs)
+
+
 def test_oracle_pair_monomial_values_match_the_direct_form():
     # b'(uu' + yy')b through the pair weights and monomials is (a'Tb)^2 + (y.b)^2 at every grid node
     bs, pairs = _direction_grid()
