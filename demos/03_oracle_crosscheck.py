@@ -1,8 +1,9 @@
 """Cross-check the fast solver against the brute-force oracle.
 
-The fast path grids only the northern b-hemisphere (8,280 nodes at a
-2 degree step), maximizes over a exactly through the rank-2 eigenvalue
-formula, and polishes the best node with a few Newton steps on the sphere;
+The fast path grids only the northern b-hemisphere (5,170 nodes on
+polar rings 2 degrees apart, each ring's nodes about 2 degrees apart),
+maximizes over a exactly through the rank-2 eigenvalue formula, and
+polishes the best node with a few Newton steps on the sphere;
 the oracle grinds through all four measurement angles and never touches
 the reduction. Since f is even in a and in b, it grids the northern
 hemisphere of each sphere only (73 x 19 = 1,387 nodes, so 1,923,769

@@ -27,7 +27,7 @@ from .qstate import (
     TRACE_TOL,
     StateFamilySpec,
     _round12,
-    family_matrix,
+    family_stack,
     generate_state,
     load_state,
     read_state_matrix,
@@ -150,18 +150,17 @@ def _cmd_sweep(args) -> int:
         method=args.method,
         output_path=args.output,
     )
-    # The builder runs point by point; everything after it is stacked. The
-    # first point in parameter order that the builder or the validation
-    # rejects is the one reported: the builder stops at its first failure,
-    # and the points before it are validated before that failure is named.
-    values, mats, failure = spec.values(), [], None
-    for value in values:
-        try:
-            mats.append(family_matrix(StateFamilySpec(spec.family, {spec.param_name: value})))
-        except GgqdError as exc:
-            failure = value, exc
-            break
-    if mats:
+    # Every step is stacked. The first point in parameter order that the
+    # builder or the validation rejects is the one reported: the builder
+    # names its first failing point, and the points before it are built and
+    # validated before that failure is named.
+    values, failure = spec.values(), None
+    try:
+        mats = family_stack(spec.family, {spec.param_name: values})
+    except GgqdError as exc:
+        failure = values[exc.index], exc
+        mats = family_stack(spec.family, {spec.param_name: values[: exc.index]}) if exc.index else []
+    if len(mats):
         try:
             stack = validate_density_stack(mats, allow_nonphysical=args.allow_nonphysical)
         except GgqdError as exc:

@@ -13,7 +13,6 @@ Conventions
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +75,10 @@ class DensityMatrix:
         object.__setattr__(self, "entries", m)
 
 
+def _family_name(family: str) -> str:
+    return family.strip().lower().replace("-", "_")
+
+
 @dataclass(frozen=True)
 class StateFamilySpec:
     """Tag + parameters selecting one member of a built-in state family.
@@ -91,8 +94,25 @@ class StateFamilySpec:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "family", self.family.strip().lower().replace("-", "_"))
+        object.__setattr__(self, "family", _family_name(self.family))
         object.__setattr__(self, "parameters", {str(k).lower(): float(v) for k, v in self.parameters.items()})
+
+
+def _raise_first(checks) -> None:
+    """Raise what checking point by point would raise: the first failing point's first failing check.
+
+    ``checks`` lists (bad, error) pairs in the order one point is checked:
+    ``bad`` is an (n,) mask of the points that fail, and error(k) makes
+    point k's exception. That exception is raised with k, the point's
+    position, as its ``index`` attribute.
+    """
+    failing = np.logical_or.reduce([bad for bad, _ in checks])
+    if not np.count_nonzero(failing):
+        return
+    k = int(np.argmax(failing))
+    exc = next(error(k) for bad, error in checks if bad[k])
+    exc.index = k
+    raise exc
 
 
 def _checked_min_eigenvalues(arr: np.ndarray, allow_nonphysical: bool) -> np.ndarray:
@@ -110,24 +130,18 @@ def _checked_min_eigenvalues(arr: np.ndarray, allow_nonphysical: bool) -> np.nda
     herm_dev = np.abs(safe - safe.conj().swapaxes(1, 2)).max(axis=(1, 2))
     trace_dev = np.abs(safe.trace(axis1=1, axis2=2) - 1.0)
     min_eig = np.linalg.eigvalsh(safe)[:, 0]
-    bad = ~finite | (herm_dev > HERMITICITY_TOL) | (trace_dev > TRACE_TOL)
+    checks = [
+        (~finite, lambda k: ValueError("matrix entries must be finite")),
+        (herm_dev > HERMITICITY_TOL, lambda k: NonHermitianError(
+            f"maximum Hermiticity violation {herm_dev[k]:.6e} exceeds {HERMITICITY_TOL:.0e}")),
+        (trace_dev > TRACE_TOL, lambda k: TraceNotOneError(
+            f"|trace - 1| = {trace_dev[k]:.6e} exceeds {TRACE_TOL:.0e}")),
+    ]
     if not allow_nonphysical:
-        bad |= min_eig < -PSD_TOL
-    if not np.count_nonzero(bad):
-        return min_eig
-    k = int(np.argmax(bad))
-    if not finite[k]:
-        exc = ValueError("matrix entries must be finite")
-    elif herm_dev[k] > HERMITICITY_TOL:
-        exc = NonHermitianError(
-            f"maximum Hermiticity violation {herm_dev[k]:.6e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    elif trace_dev[k] > TRACE_TOL:
-        exc = TraceNotOneError(f"|trace - 1| = {trace_dev[k]:.6e} exceeds {TRACE_TOL:.0e}")
-    else:
-        exc = NotPositiveError(f"smallest eigenvalue {min_eig[k]:.6e} below -{PSD_TOL:.0e}")
-    exc.index = k
-    raise exc
+        checks.append((min_eig < -PSD_TOL, lambda k: NotPositiveError(
+            f"smallest eigenvalue {min_eig[k]:.6e} below -{PSD_TOL:.0e}")))
+    _raise_first(checks)
+    return min_eig
 
 
 def validate_density_stack(ms, allow_nonphysical: bool = False) -> np.ndarray:
@@ -172,119 +186,193 @@ def validate_density(m, allow_nonphysical: bool = False) -> DensityMatrix:
     return DensityMatrix(arr, physical_flag=True)
 
 
-def _params_with_defaults(spec: StateFamilySpec, defaults: dict) -> dict:
-    out = dict(defaults)
-    for key, value in spec.parameters.items():
+def _outside(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Where v lies outside [lo, hi] by more than RANGE_TOL."""
+    return ~((lo - RANGE_TOL <= v) & (v <= hi + RANGE_TOL))
+
+
+def _params_with_defaults(family: str, parameters: dict, defaults: dict):
+    """Each point's parameters (n,) with the defaults filled in, and the checks that they name known, finite values.
+
+    The parameters broadcast against each other; with none there is one
+    point.
+    """
+    names = [str(k).lower() for k in parameters]
+    columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in parameters.values()))
+    if any(c.ndim != 1 for c in columns):
+        raise ValueError("family parameters must be scalars or 1-D arrays")
+    n = len(columns[0]) if columns else 1
+    out = {key: np.full(n, value) for key, value in defaults.items()}
+    checks = []
+    for key, column in zip(names, columns):
         if key not in out:
-            raise ParameterOutOfRangeError(f"unknown parameter '{key}' for family '{spec.family}'")
-        if not math.isfinite(value):
-            raise ParameterOutOfRangeError(f"{spec.family} parameter {key} = {value} is not finite")
-        out[key] = value
-    return out
+            checks.append((np.ones(n, dtype=bool),
+                           lambda k, key=key: ParameterOutOfRangeError(f"unknown parameter '{key}' for family '{family}'")))
+            continue
+        checks.append((~np.isfinite(column), lambda k, key=key, column=column: ParameterOutOfRangeError(
+            f"{family} parameter {key} = {float(column[k])} is not finite")))
+        out[key] = column
+    return out, checks, n
 
 
-def _check_probabilities(values, what: str) -> None:
-    for name, v in values.items():
-        if v < -RANGE_TOL or v > 1.0 + RANGE_TOL:
-            raise ParameterOutOfRangeError(f"{what} '{name}' = {v} outside [0, 1]")
+def _probability_checks(values: dict, what: str) -> list:
+    checks = [(_outside(v, 0.0, 1.0), lambda k, name=name, v=v: ParameterOutOfRangeError(
+        f"{what} '{name}' = {float(v[k])} outside [0, 1]")) for name, v in values.items()]
     total = sum(values.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ProbabilitiesNotNormalizedError(f"{what}s sum to {total!r}, |sum - 1| > 1e-09")
+    checks.append((np.abs(total - 1.0) > 1e-9, lambda k: ProbabilitiesNotNormalizedError(
+        f"{what}s sum to {float(total[k])!r}, |sum - 1| > 1e-09")))
+    return checks
 
 
-def _qubit_ket(theta: float, phi: float) -> np.ndarray:
-    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-
-
-def _build_bell_mixture(spec: StateFamilySpec) -> np.ndarray:
-    p = _params_with_defaults(spec, {"c3": 0.0})
-    c3 = p["c3"]
-    if not -1.0 - RANGE_TOL <= c3 <= 1.0 + RANGE_TOL:
-        raise ParameterOutOfRangeError(f"bell_mixture parameter c3 = {c3} outside [-1, 1]")
-    return 0.25 * (
-        np.eye(4, dtype=complex)
-        - np.kron(PAULIS[2], PAULIS[2])
-        + c3 * np.kron(PAULIS[3], PAULIS[3])
-    )
-
-
-def _build_werner(spec: StateFamilySpec) -> np.ndarray:
-    p = _params_with_defaults(spec, {"p": 0.0})["p"]
-    if not -RANGE_TOL <= p <= 1.0 + RANGE_TOL:
-        raise ParameterOutOfRangeError(f"werner parameter p = {p} outside [0, 1]")
-    singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0)
-    return p * np.outer(singlet, singlet.conj()) + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
-
-
-def _build_classical_classical(spec: StateFamilySpec) -> np.ndarray:
-    probs = _params_with_defaults(spec, {"p00": 0.25, "p01": 0.25, "p10": 0.25, "p11": 0.25})
-    _check_probabilities(probs, "probability")
-    return np.diag(np.array([probs["p00"], probs["p01"], probs["p10"], probs["p11"]], dtype=complex))
-
-
-def _build_pure_product(spec: StateFamilySpec) -> np.ndarray:
-    p = _params_with_defaults(spec, {"theta_a": 0.0, "phi_a": 0.0, "theta_b": 0.0, "phi_b": 0.0})
-    ket = np.kron(_qubit_ket(p["theta_a"], p["phi_a"]), _qubit_ket(p["theta_b"], p["phi_b"]))
-    return np.outer(ket, ket.conj())
-
-
-def _build_bell_phi_plus(spec: StateFamilySpec) -> np.ndarray:
-    _params_with_defaults(spec, {})
-    ket = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
-    return np.outer(ket, ket.conj())
-
-
-def _build_x_state(spec: StateFamilySpec) -> np.ndarray:
-    p = _params_with_defaults(
-        spec,
-        {"rho00": 0.25, "rho11": 0.25, "rho22": 0.25, "rho33": 0.25, "rho03": 0.0, "rho12": 0.0},
-    )
-    diag = {k: p[k] for k in ("rho00", "rho11", "rho22", "rho33")}
-    _check_probabilities(diag, "diagonal entry")
-    # PSD of the two 2x2 blocks bounds the antidiagonal coherences.
-    if abs(p["rho03"]) > np.sqrt(p["rho00"] * p["rho33"]) + 1e-12:
-        raise ParameterOutOfRangeError(f"|rho03| = {abs(p['rho03'])} exceeds sqrt(rho00*rho33)")
-    if abs(p["rho12"]) > np.sqrt(p["rho11"] * p["rho22"]) + 1e-12:
-        raise ParameterOutOfRangeError(f"|rho12| = {abs(p['rho12'])} exceeds sqrt(rho11*rho22)")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p["rho00"], p["rho11"], p["rho22"], p["rho33"]
-    m[0, 3] = m[3, 0] = p["rho03"]
-    m[1, 2] = m[2, 1] = p["rho12"]
+def _diagonal(*columns) -> np.ndarray:
+    """Stacked 4x4 complex matrices with the (n,) columns on their diagonals and zeros elsewhere."""
+    m = np.zeros((len(columns[0]), 4, 4), dtype=complex)
+    for i, column in enumerate(columns):
+        m[:, i, i] = column
     return m
 
 
-def _build_random(spec: StateFamilySpec) -> np.ndarray:
-    _params_with_defaults(spec, {})
-    if spec.seed is not None and spec.seed < 0:
-        raise ParameterOutOfRangeError(f"seed must be a non-negative integer, got {spec.seed}")
-    rng = np.random.default_rng(0 if spec.seed is None else spec.seed)
+def _qubit_kets(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    ket = np.empty((len(theta), 2), dtype=complex)
+    ket[:, 0] = np.cos(theta / 2.0)
+    ket[:, 1] = np.exp(1j * phi) * np.sin(theta / 2.0)
+    return ket
+
+
+def _bell_mixture_checks(p, seed):
+    c3 = p["c3"]
+    return [(_outside(c3, -1.0, 1.0), lambda k: ParameterOutOfRangeError(
+        f"bell_mixture parameter c3 = {float(c3[k])} outside [-1, 1]"))]
+
+
+def _build_bell_mixture(p, seed):
+    return 0.25 * (
+        np.eye(4, dtype=complex)
+        - np.kron(PAULIS[2], PAULIS[2])
+        + p["c3"][:, None, None] * np.kron(PAULIS[3], PAULIS[3])
+    )
+
+
+def _werner_checks(p, seed):
+    w = p["p"]
+    return [(_outside(w, 0.0, 1.0), lambda k: ParameterOutOfRangeError(
+        f"werner parameter p = {float(w[k])} outside [0, 1]"))]
+
+
+def _build_werner(p, seed):
+    w = p["p"][:, None, None]
+    singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0)
+    return w * np.outer(singlet, singlet.conj()) + (1.0 - w) * np.eye(4, dtype=complex) / 4.0
+
+
+def _classical_classical_checks(p, seed):
+    return _probability_checks(p, "probability")
+
+
+def _build_classical_classical(p, seed):
+    return _diagonal(p["p00"], p["p01"], p["p10"], p["p11"])
+
+
+def _build_pure_product(p, seed):
+    ket = _qubit_kets(p["theta_a"], p["phi_a"])[:, :, None] * _qubit_kets(p["theta_b"], p["phi_b"])[:, None, :]
+    ket = ket.reshape(-1, 4)
+    return ket[:, :, None] * ket.conj()[:, None, :]
+
+
+def _build_bell_phi_plus(p, seed):
+    ket = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
+    return np.outer(ket, ket.conj())[None]
+
+
+def _x_state_checks(p, seed):
+    checks = _probability_checks({k: p[k] for k in ("rho00", "rho11", "rho22", "rho33")}, "diagonal entry")
+    # PSD of the two 2x2 blocks bounds the antidiagonal coherences.
+    for name, i, j in (("rho03", "rho00", "rho33"), ("rho12", "rho11", "rho22")):
+        size = np.abs(p[name])
+        # a product below 0, from an entry within RANGE_TOL below 0, gives nan, which passes
+        with np.errstate(invalid="ignore"):
+            too_big = size > np.sqrt(p[i] * p[j]) + 1e-12
+        checks.append((too_big, lambda k, name=name, i=i, j=j, size=size: ParameterOutOfRangeError(
+            f"|{name}| = {float(size[k])} exceeds sqrt({i}*{j})")))
+    return checks
+
+
+def _build_x_state(p, seed):
+    m = _diagonal(p["rho00"], p["rho11"], p["rho22"], p["rho33"])
+    m[:, 0, 3] = m[:, 3, 0] = p["rho03"]
+    m[:, 1, 2] = m[:, 2, 1] = p["rho12"]
+    return m
+
+
+def _random_checks(p, seed):
+    return [(np.array([seed is not None and seed < 0]), lambda k: ParameterOutOfRangeError(
+        f"seed must be a non-negative integer, got {seed}"))]
+
+
+def _build_random(p, seed):
+    rng = np.random.default_rng(0 if seed is None else seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = g @ g.conj().T
-    return m / m.trace()
+    return (m / m.trace())[None]
 
 
+#: Each family's parameter defaults, its checks beyond those of
+#: _params_with_defaults (None for none) and its stacked builder. Checks
+#: and builders take the parameters (n,) and the seed; a family without
+#: parameters has one point.
 _BUILDERS = {
-    "bell_mixture": _build_bell_mixture,
-    "werner": _build_werner,
-    "classical_classical": _build_classical_classical,
-    "pure_product": _build_pure_product,
-    "bell_phi_plus": _build_bell_phi_plus,
-    "x_state": _build_x_state,
-    "random": _build_random,
+    "bell_mixture": ({"c3": 0.0}, _bell_mixture_checks, _build_bell_mixture),
+    "werner": ({"p": 0.0}, _werner_checks, _build_werner),
+    "classical_classical": ({"p00": 0.25, "p01": 0.25, "p10": 0.25, "p11": 0.25},
+                            _classical_classical_checks, _build_classical_classical),
+    "pure_product": ({"theta_a": 0.0, "phi_a": 0.0, "theta_b": 0.0, "phi_b": 0.0}, None, _build_pure_product),
+    "bell_phi_plus": ({}, None, _build_bell_phi_plus),
+    "x_state": ({"rho00": 0.25, "rho11": 0.25, "rho22": 0.25, "rho33": 0.25, "rho03": 0.0, "rho12": 0.0},
+                _x_state_checks, _build_x_state),
+    "random": ({}, _random_checks, _build_random),
 }
+
+
+def family_stack(family: str, parameters: dict | None = None, seed: int | None = None) -> np.ndarray:
+    """The (n, 4, 4) matrices of members of a named state family, one per point, not yet validated.
+
+    ``family`` and the parameter names are read as StateFamilySpec reads
+    them. Each parameter is a value or an (n,) array of values; point k
+    takes the k-th of each, and the defaults fill in the rest. Every point
+    is checked, then all are built at once: point k's matrix is bit for bit
+    ``family_matrix`` of its spec.
+
+    Raises
+    ------
+    UnknownFamilyError, ParameterOutOfRangeError, ProbabilitiesNotNormalizedError
+        What family_matrix raises for the first point that fails, with the
+        point's position as the exception's ``index`` attribute.
+    """
+    family = _family_name(family)
+    if family not in _BUILDERS:
+        exc = UnknownFamilyError(f"unknown family '{family}'; known: {', '.join(FAMILIES)}")
+        exc.index = 0
+        raise exc
+    defaults, extra_checks, build = _BUILDERS[family]
+    p, checks, n = _params_with_defaults(family, parameters or {}, defaults)
+    if not n:
+        return np.empty((0, 4, 4), dtype=complex)
+    if extra_checks is not None:
+        checks += extra_checks(p, seed)
+    _raise_first(checks)
+    return build(p, seed)
 
 
 def family_matrix(spec: StateFamilySpec) -> np.ndarray:
     """The 4x4 matrix of a member of a named state family, not yet validated.
 
+    A stack of one through family_stack.
+
     Raises
     ------
     UnknownFamilyError, ParameterOutOfRangeError, ProbabilitiesNotNormalizedError
     """
-    builder = _BUILDERS.get(spec.family)
-    if builder is None:
-        raise UnknownFamilyError(f"unknown family '{spec.family}'; known: {', '.join(FAMILIES)}")
-    return builder(spec)
+    return family_stack(spec.family, spec.parameters, spec.seed)[0]
 
 
 def generate_state(spec: StateFamilySpec, allow_nonphysical: bool = False) -> DensityMatrix:

@@ -80,12 +80,16 @@ _ONES3 = np.ones(3)
 #: Grid steps in radians. Both grids cover polar angles [0, pi/2] only:
 #: f is even in a and in b, and so is g, so every direction's antipode lies
 #: in that hemisphere and the resolution is that of the full sphere. The
-#: fast path's 2 degree b-grid has 180 x 46 = 8,280 nodes and is the start
-#: of its Newton polish. The oracle's 5 degree grid has 73 x 19 = 1,387
-#: nodes per direction, 1,923,769 pairs, and its best node is the start of
-#: the oracle's Newton polish. The bound-ordered visit finds that node on
-#: a few a-rows: on 2,000 seeded Ginibre states it evaluated a median of
-#: 67 rows (93,000 pairs) and a 90th percentile of 478 of the 1,387.
+#: fast path's 2 degree b-grid (_ring_angles) spaces the nodes of each
+#: polar ring about 2 degrees apart, so it has 5,170 nodes, one of them
+#: the pole, and a covering radius of 1.40 degrees (each node counted with
+#: its antipode); its first best node is the start of the Newton polish.
+#: The oracle's 5 degree grid (_grid_angles) is a rectangle of 73 x 19 =
+#: 1,387 nodes per direction, 1,923,769 pairs, and its best node is the
+#: start of the oracle's Newton polish. The bound-ordered visit finds that
+#: node on a few a-rows: on 2,000 seeded Ginibre states it evaluated a
+#: median of 67 rows (93,000 pairs) and a 90th percentile of 478 of the
+#: 1,387.
 _B_GRID_STEP = 0.035
 _ORACLE_STEP = 0.087
 
@@ -167,6 +171,26 @@ def _grid_angles(step: float) -> np.ndarray:
     return angles
 
 
+def _ring_angles(step: float) -> np.ndarray:
+    """The (azimuth, polar) pairs of the ring-scaled northern-hemisphere grid at ``step``, read-only.
+
+    The polar rings are _grid_angles'. The ring at polar angle theta has
+    max(1, ceil(2 pi sin theta / step)) evenly spaced azimuths from 0, so
+    its neighbours lie at most ``step`` apart, and the pole is one node,
+    the first. On the equator only the first half of the azimuths, those
+    in [0, pi), is kept: the others are their antipodes.
+    """
+    polar = np.minimum(np.arange(0.0, 0.5 * math.pi + 0.5 * step, step), 0.5 * math.pi)
+    full = np.maximum(1.0, np.ceil(2.0 * math.pi * np.sin(polar) / step))
+    kept = np.where(polar == 0.5 * math.pi, np.ceil(0.5 * full), full).astype(int)
+    ring = np.repeat(np.arange(len(polar)), kept)
+    index = np.arange(len(ring)) - (np.cumsum(kept) - kept)[ring]  # position on its ring
+    azimuth = index * (2.0 * math.pi / full[ring])
+    angles = np.stack([azimuth, polar[ring]], axis=-1)
+    angles.setflags(write=False)
+    return angles
+
+
 @functools.cache
 def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
     """The oracle's northern-hemisphere unit vectors (m, 3) and their pair monomials (6, m), read-only.
@@ -192,10 +216,20 @@ def _grid_monomials() -> np.ndarray:
     are the directions themselves, so unlike _direction_grid no separate
     vectors are kept.
     """
-    angles = _grid_angles(_B_GRID_STEP)
+    angles = _ring_angles(_B_GRID_STEP)
     mono = direction_monomials(sphere_direction(angles[:, 0], angles[:, 1]))
     mono.setflags(write=False)
     return mono
+
+
+def _near_top(top: float) -> float:
+    """The least grid value that ties with the grid's maximum ``top``: 8 ulps of max(top, 1) below it.
+
+    On a flat or circular optimum the grid's values differ only by
+    rounding, so the first node at or above this one (the pole, where it is
+    optimal) starts the polish, rather than the node that rounding favours.
+    """
+    return top - 8.0 * np.spacing(max(top, 1.0))
 
 
 def _largest_entry(x, y, t):
@@ -427,7 +461,8 @@ def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     h = np.empty(len(x))
     for k in range(len(x)):
         values = reduced_over_a_monomials(coef[k], p[k], mono)
-        node = int(np.argmax(values))
+        node = int(values.argmax())
+        node = int((values[: node + 1] >= _near_top(values[node])).argmax())  # the first near-tied node
         start[k], h[k] = mono[6:, node], values[node]
     b, h, _ = _newton_ascent(kcy, p, coef, start, h)
     f_max = _f_max(h, e)

@@ -401,6 +401,8 @@ def test_sweep_names_invalid_point(tmp_path, capsys):
         ("0.5", "1.5", "c3 = 0.5:", "smallest eigenvalue"),
         ("1.5", "2", "c3 = 1.5:", "outside [-1, 1]"),
         ("0", "1.5", "c3 = 0.5:", "smallest eigenvalue"),
+        # c3 = -1.5 fails the builder, and c3 = -1, -0.5 and 0.5 would fail validation after it
+        ("-1.5", "0.5", "c3 = -1.5:", "outside [-1, 1]"),
     ],
 )
 def test_sweep_names_first_failing_point(tmp_path, capsys, start, stop, named, message):
@@ -414,10 +416,33 @@ def test_sweep_names_first_failing_point(tmp_path, capsys, start, stop, named, m
 
 
 @pytest.mark.parametrize(
+    "family,param,start,stop,step,named,message",
+    [
+        ("werner", "p", "0.5", "1.5", "0.25", "p = 1.25:", "werner parameter p = 1.25 outside [0, 1]"),
+        ("x-state", "rho03", "0", "0.5", "0.1", "rho03 = 0.3:", "|rho03| = 0.30000000000000004 exceeds"),
+        ("classical-classical", "p00", "0.25", "0.5", "0.25", "p00 = 0.5:", "probabilitys sum to 1.25"),
+        ("pure-product", "theta", "0", "1", "0.5", "theta = 0:", "unknown parameter 'theta'"),
+    ],
+)
+def test_sweep_names_the_builders_first_failing_point(tmp_path, capsys, family, param, start, stop, step,
+                                                       named, message):
+    # the points before it are built and validated, and pass
+    out_csv = tmp_path / "bad.csv"
+    code = main(["sweep", family, param, "--from", start, "--to", stop, "--step", step, "-o", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and f"error: {named} " in err and message in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
     "family,param,start,stop,step,flags",
     [
         ("werner", "p", 0.0, 1.0, 0.1, []),
         ("bell-mixture", "c3", -1.0, 1.0, 0.25, ["--allow-nonphysical"]),
+        ("x-state", "rho03", -0.25, 0.25, 0.125, []),
+        ("pure-product", "theta_a", 0.0, 3.0, 0.5, []),
+        ("classical-classical", "p00", 0.25, 0.25, 0.1, []),
     ],
 )
 def test_sweep_csv_matches_per_state_ggqd(tmp_path, capsys, family, param, start, stop, step, flags):

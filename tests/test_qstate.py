@@ -26,7 +26,8 @@ from ggqd import (
     swap_subsystems,
     validate_density,
 )
-from ggqd.qstate import PAULIS, family_matrix, parse_state_matrix, validate_density_stack
+from ggqd.errors import GgqdError
+from ggqd.qstate import PAULIS, family_matrix, family_stack, parse_state_matrix, validate_density_stack
 
 
 def bell_mixture_matrix(c3):
@@ -379,3 +380,126 @@ def test_family_matrix_is_the_unvalidated_member():
     assert np.array_equal(m, generate_state(spec, allow_nonphysical=True).entries)
     with pytest.raises(UnknownFamilyError):
         family_matrix(StateFamilySpec("nope"))
+
+
+def _per_point(family, params):
+    """family_matrix of each point in turn, up to the first that raises: (matrices, (index, type, message) or None)."""
+    n = max((np.size(v) for v in params.values()), default=1)
+    mats = []
+    for k in range(n):
+        point = {key: np.broadcast_to(v, n)[k] for key, v in params.items()}
+        try:
+            mats.append(family_matrix(StateFamilySpec(family, point)))
+        except GgqdError as exc:
+            return mats, (k, type(exc), str(exc))
+    return mats, None
+
+
+def _sweepable_points():
+    rng = np.random.default_rng(1602)
+    d = rng.dirichlet(np.ones(4), 50)
+    return {
+        "werner": {"p": np.r_[np.linspace(0.0, 1.0, 101), -1e-9, 1.0 + 1e-9]},
+        "bell_mixture": {"c3": np.r_[np.linspace(-1.0, 1.0, 41), rng.uniform(-1.0, 1.0, 20)]},
+        "classical_classical": dict(zip(("p00", "p01", "p10", "p11"), d.T)),
+        "pure_product": {"theta_a": rng.uniform(-7.0, 7.0, 50), "phi_a": rng.uniform(-7.0, 7.0, 50),
+                         "theta_b": rng.uniform(-7.0, 7.0, 50), "phi_b": 0.3},
+        "x_state": {**dict(zip(("rho00", "rho11", "rho22", "rho33"), d.T)),
+                    "rho03": rng.uniform(-1.0, 1.0, 50) * np.sqrt(d[:, 0] * d[:, 3]),
+                    "rho12": rng.uniform(-1.0, 1.0, 50) * np.sqrt(d[:, 1] * d[:, 2])},
+    }
+
+
+def _scalar_member(family, q):
+    """One member built from scalars by the per-point formulas: the reference for the stacked builders."""
+    if family == "werner":
+        singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0)
+        return q["p"] * np.outer(singlet, singlet.conj()) + (1.0 - q["p"]) * np.eye(4, dtype=complex) / 4.0
+    if family == "bell_mixture":
+        return 0.25 * (np.eye(4, dtype=complex) - np.kron(PAULIS[2], PAULIS[2]) + q["c3"] * np.kron(PAULIS[3], PAULIS[3]))
+    if family == "pure_product":
+        kets = [np.array([np.cos(q[f"theta_{s}"] / 2.0), np.exp(1j * q[f"phi_{s}"]) * np.sin(q[f"theta_{s}"] / 2.0)])
+                for s in "ab"]
+        ket = np.kron(*kets)
+        return np.outer(ket, ket.conj())
+    if family == "classical_classical":
+        return np.diag(np.array([q["p00"], q["p01"], q["p10"], q["p11"]], dtype=complex))
+    m = np.diag(np.array([q["rho00"], q["rho11"], q["rho22"], q["rho33"]], dtype=complex))
+    m[0, 3] = m[3, 0] = q["rho03"]
+    m[1, 2] = m[2, 1] = q["rho12"]
+    return m
+
+
+@pytest.mark.parametrize("family", ["werner", "bell_mixture", "classical_classical", "pure_product", "x_state"])
+def test_family_stack_is_the_per_point_build(family):
+    params = _sweepable_points()[family]
+    mats, failure = _per_point(family, params)
+    assert failure is None
+    stack = family_stack(family, params)
+    assert stack.shape == (len(mats), 4, 4) and np.array_equal(stack, np.array(mats))
+    n = len(mats)
+    for k in range(n):
+        point = {key: float(np.broadcast_to(v, n)[k]) for key, v in params.items()}
+        assert np.array_equal(stack[k], _scalar_member(family, point))
+
+
+@pytest.mark.parametrize("family,name,values", [
+    ("werner", "p", np.linspace(0.0, 1.0, 11)),
+    ("bell-mixture", "c3", np.linspace(-1.0, 1.0, 9)),
+    ("pure-product", "theta_b", np.linspace(0.0, 3.0, 7)),
+    ("x-state", "rho03", np.linspace(-0.25, 0.25, 5)),
+    ("classical-classical", "p00", [0.25]),
+])
+def test_family_stack_of_one_swept_parameter(family, name, values):
+    # as the sweep passes it: a list of values, the others at their defaults
+    stack = family_stack(family, {name.upper(): list(values)})
+    assert np.array_equal(stack, np.array(_per_point(family, {name: np.asarray(values)})[0]))
+
+
+@pytest.mark.parametrize("family,params", [
+    ("bell_phi_plus", {}), ("random", {}), ("werner", {}), ("x_state", {"rho03": 0.1}),
+])
+def test_family_stack_of_one_point(family, params):
+    spec = StateFamilySpec(family, params, seed=7)
+    stack = family_stack(family, params, seed=7)
+    assert stack.shape == (1, 4, 4) and np.array_equal(stack[0], family_matrix(spec))
+    assert np.array_equal(family_matrix(spec), generate_state(spec, allow_nonphysical=True).entries)
+
+
+@pytest.mark.parametrize("family,params,where,message", [
+    ("werner", {"p": [0.2, 0.5, np.nan, 1.5]}, 2, "werner parameter p = nan is not finite"),
+    ("werner", {"p": [0.2, 1.5, np.nan]}, 1, "werner parameter p = 1.5 outside [0, 1]"),
+    ("werner", {"q": [0.2, 0.5]}, 0, "unknown parameter 'q' for family 'werner'"),
+    ("werner", {"p": [np.inf, 0.5], "q": 0.1}, 0, "werner parameter p = inf is not finite"),
+    ("werner", {"q": 0.1, "p": [np.inf, 0.5]}, 0, "unknown parameter 'q' for family 'werner'"),
+    ("bell_mixture", {"c3": [0.0, 0.5, -1.2, 3.0]}, 2, "bell_mixture parameter c3 = -1.2 outside [-1, 1]"),
+    ("classical_classical", {"p00": [0.25, 0.25, 1.2, 0.3]}, 2, "probability 'p00' = 1.2 outside [0, 1]"),
+    ("classical_classical", {"p00": [0.25, 0.3, 1.2]}, 1, "probabilitys sum to 1.05, |sum - 1| > 1e-09"),
+    ("classical_classical", {"p00": [0.1, 0.1], "p01": [0.4, 0.4], "p10": [0.25, -0.05]}, 1,
+     "probability 'p10' = -0.05 outside [0, 1]"),
+    ("pure_product", {"theta_a": [0.0, 1.0, np.inf]}, 2, "pure_product parameter theta_a = inf is not finite"),
+    ("x_state", {"rho00": [0.25, 0.25, 0.25, -0.5], "rho03": [0.0, 0.1, 0.3, 0.0]}, 2,
+     "|rho03| = 0.3 exceeds sqrt(rho00*rho33)"),
+    ("x_state", {"rho00": [0.25, -0.5, 0.25], "rho03": [0.0, 0.3, 0.3]}, 1,
+     "diagonal entry 'rho00' = -0.5 outside [0, 1]"),
+    ("x_state", {"rho12": [0.0, 0.2, 0.25, 0.26]}, 3, "|rho12| = 0.26 exceeds sqrt(rho11*rho22)"),
+    ("bell_phi_plus", {"c3": [0.1, 0.2]}, 0, "unknown parameter 'c3' for family 'bell_phi_plus'"),
+    ("random", {"seed": 3}, 0, "unknown parameter 'seed' for family 'random'"),
+    ("nope", {"p": [0.1, 0.2]}, 0, "unknown family 'nope'"),
+])
+def test_family_stack_raises_for_the_first_failing_point(family, params, where, message):
+    # the first failing point raises what family_matrix raises for it alone, with its position as index
+    mats, failure = _per_point(family, params)
+    with pytest.raises(GgqdError) as raised:
+        family_stack(family, params)
+    assert (raised.value.index, type(raised.value), str(raised.value)) == failure
+    assert raised.value.index == where and str(raised.value).startswith(message)
+    if where:  # the points before it build as they do alone
+        before = {key: np.asarray(v)[:where] if np.ndim(v) else v for key, v in params.items()}
+        assert np.array_equal(family_stack(family, before), np.array(mats))
+
+
+def test_family_stack_random_seed_is_checked():
+    with pytest.raises(ParameterOutOfRangeError, match="non-negative") as raised:
+        family_stack("random", seed=-1)
+    assert raised.value.index == 0

@@ -890,10 +890,10 @@ def test_ggqd_many_inputs():
 def test_grid_caches_are_read_only():
     bs, pairs = _direction_grid()
     mono = _grid_monomials()
-    angles = solver_mod._grid_angles(solver_mod._B_GRID_STEP)
+    angles = solver_mod._ring_angles(solver_mod._B_GRID_STEP)
     b_angles = solver_mod._grid_angles(solver_mod._ORACLE_STEP)
     assert _direction_grid()[0] is bs and _direction_grid()[1] is pairs and _grid_monomials() is mono
-    assert len(angles) == 8280 and len(bs) == 1387
+    assert len(angles) == 5170 and len(bs) == 1387
     assert (bs[:, 2] >= -1e-12).all() and (mono[8] >= -1e-12).all()
     assert np.array_equal(bs, sphere_direction(b_angles[:, 0], b_angles[:, 1]))
     assert pairs.shape == (6, len(bs)) and pairs.flags.c_contiguous
@@ -906,6 +906,90 @@ def test_grid_caches_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+def test_ring_grid_covers_the_sphere_with_one_pole_and_no_repeats():
+    # the fast path's b-grid: the pole e3 once and first, no node equal or antipodal to another,
+    # and a covering radius (each node counted with its antipode) within the 180 x 46 rectangle's 1.413 degrees
+    nodes = _grid_monomials()[6:].T
+    assert np.array_equal(nodes[0], [0.0, 0.0, 1.0])
+    assert np.count_nonzero(np.abs(nodes - [0.0, 0.0, 1.0]).max(axis=1) < 1e-9) == 1
+    closest = 0.0
+    for lo in range(0, len(nodes), 1000):
+        dots = np.abs(nodes[lo : lo + 1000] @ nodes.T)
+        dots[np.arange(len(dots)), lo + np.arange(len(dots))] = 0.0
+        closest = max(closest, dots.max())
+    assert closest < np.cos(np.radians(1.0))
+    probes = np.random.default_rng(1601).standard_normal((60_000, 3))
+    probes /= np.linalg.norm(probes, axis=1)[:, None]
+    nearest = min(np.abs(chunk @ nodes.T).max(axis=1).min() for chunk in np.array_split(probes, 60))
+    assert np.degrees(np.arccos(nearest)) <= 1.42
+
+
+@pytest.mark.parametrize("corr", [
+    pauli_decompose(generate_state(StateFamilySpec("werner", {"p": 0.5}))),
+    pauli_decompose(generate_state(StateFamilySpec("werner", {"p": 1.0}))),
+    pauli_decompose(validate_density(np.eye(4) / 4)),
+    CorrelationData(x=np.zeros(3), y=np.zeros(3), T=0.6 * np.eye(3)),
+], ids=["werner-0.5", "werner-1", "mixed", "isotropic-T"])
+def test_flat_grid_starts_at_the_pole(corr):
+    # every b is optimal: the grid's values tie up to rounding, and the first near-tied node, the pole, is taken
+    f_max, a, b = maximize_objective(corr)
+    assert np.array_equal(b, [0.0, 0.0, 1.0])
+    assert np.allclose(a, [0.0, 0.0, 1.0], rtol=0.0, atol=1e-15)
+
+
+def _closed_form_cases():
+    """(name, x, y, T) with x = 0, y = 0 or both, on random data and on degenerate spectra."""
+    rng = np.random.default_rng(4040)
+    cases = []
+    for k in range(8):
+        x, y, t = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, (3, 3))
+        cases += [(f"random{k}-x0", 0 * x, y, t), (f"random{k}-y0", x, 0 * y, t), (f"random{k}-xy0", 0 * x, 0 * y, t)]
+    u, v = random_rotation(rng), random_rotation(rng)
+    spectra = {
+        "orthogonal": u, "reflection": -u, "identity": np.eye(3),
+        "rank1": np.outer(u[:, 0], v[:, 0]) * 0.9,
+        "repeated-top": u @ np.diag([0.7, 0.7, 0.2]) @ v.T,
+        "repeated-bottom": u @ np.diag([0.5, 0.2, 0.2]) @ v.T,
+        "diagonal-ties": np.diag([0.4, -0.4, 0.4]),
+    }
+    zero = np.zeros(3)
+    for name, t in spectra.items():
+        w = rng.uniform(-1.0, 1.0, 3)
+        cases += [(f"{name}-x0", zero, w, t), (f"{name}-y0", w, zero, t), (f"{name}-xy0", zero, zero, t)]
+    # a vector along a singular vector; at 0.39 = 0.8^2 - 0.5^2 its term ties the top two eigenvalues
+    s = np.array([0.8, 0.5, 0.3])
+    t = u @ np.diag(s) @ v.T
+    for k, c in ((0, 0.3), (1, 0.39 ** 0.5), (2, 0.6)):
+        cases += [(f"y-along-v{k}", zero, c * v[:, k], t), (f"x-along-u{k}", c * u[:, k], zero, t)]
+    cases += [(f"{name}-scaled{scale:g}", scale * x, scale * y, scale * t)
+              for name, x, y, t in cases[:3] + cases[-6:] for scale in (1e-3, 1e3)]
+    return cases
+
+
+def _closed_form_f_max(x, y, t):
+    if not x.any() and not y.any():
+        return 1.0 + np.linalg.svd(t, compute_uv=False)[0] ** 2
+    if not x.any():
+        return 1.0 + np.linalg.eigvalsh(np.outer(y, y) + t.T @ t)[-1]
+    return 1.0 + np.linalg.eigvalsh(np.outer(x, x) + t @ t.T)[-1]
+
+
+@pytest.mark.parametrize("method", ["fast", "oracle"])
+def test_closed_forms_with_a_zero_bloch_vector(method):
+    # x = 0: f_max = 1 + lmax(yy' + T'T); y = 0: 1 + lmax(xx' + TT'); x = y = 0: 1 + smax(T)^2,
+    # to 1e-12 of the data's scale max(1, m^2), m the largest |entry|
+    cases = _closed_form_cases()
+    x, y, t = (np.array([case[i] for case in cases]) for i in (1, 2, 3))
+    results = ggqd_bloch(x, y, t, method=method)
+    misses = []
+    for (name, xk, yk, tk), res in zip(cases, results):
+        m = max(np.abs(xk).max(), np.abs(yk).max(), np.abs(tk).max())
+        want = _closed_form_f_max(xk, yk, tk)
+        if not abs(res.f_max - want) <= 1e-12 * max(1.0, m * m):
+            misses.append((name, res.f_max - want))
+    assert not misses
 
 
 def test_import_builds_no_grid():
