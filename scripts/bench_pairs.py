@@ -1,16 +1,15 @@
 """Run perfbench/run.py at two commits in alternating pairs and write the medians to a JSON file.
 
-    python3 scripts/bench_pairs.py --parent REV --change REV --out BENCH_<n>.json \
-        [--pairs 10] [--seed 3201] [--seconds S] [--workloads cold_cli,sweep,random]
+    python3 scripts/bench_pairs.py --parent REV --change REV --out BENCH_<n>.json
 
 Run it from the root of a git checkout. Each commit is exported with
 ``git archive`` into its own directory under ``.bench_pairs/``, and
 each run is that copy's own ``perfbench/run.py``, started there, as a
-fresh checkout would run it. Pair i runs every workload with seed
-``--seed + i`` on both commits, the parent first in even pairs and the
-change first in odd ones, so that a drift in the host's speed falls on
-both sides alike. ``--seconds`` defaults to BENCHMARK.json's
-``run_seconds``. The output holds, per workload and end-to-end metric,
+fresh checkout would run it. Each run lasts BENCHMARK.json's
+``run_seconds``, and there are PAIRS pairs. Pair i runs every workload
+that BENCHMARK.json lists with seed ``BASE_SEED + i`` on both commits,
+the parent first in even pairs and the change first in odd ones, so that
+a drift in the host's speed falls on both sides alike. The output holds, per workload and end-to-end metric,
 each side's median and quartiles over the pairs, the pairs in which the
 change read better, and every pair's values, with the machine, the
 method and the seeds.
@@ -28,6 +27,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+PAIRS = 10
+BASE_SEED = 3201
 
 
 def export(rev: str, directory: Path) -> str:
@@ -53,7 +55,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
 
 
 def quartiles(values: list[float]) -> list[float]:
-    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def summarize(pairs: list[dict], better: dict) -> dict:
@@ -82,16 +84,12 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="the commit to compare against, e.g. HEAD~1")
     ap.add_argument("--change", default="HEAD", help="the commit that is measured (default HEAD)")
     ap.add_argument("--out", type=Path, required=True, help="the JSON file to write")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=3201, help="seed of the first pair; pair i uses seed + i")
-    ap.add_argument("--seconds", type=float, default=None)
-    ap.add_argument("--workloads", default="cold_cli,sweep,random")
     args = ap.parse_args(argv)
 
     spec = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in spec["workloads"]]
     work = Path(".bench_pairs")
     sides = {"parent": work / "parent", "change": work / "change"}
     commits = {side: export(rev, sides[side]) for side, rev in (("parent", args.parent), ("change", args.change))}
@@ -99,8 +97,8 @@ def main(argv=None) -> int:
     runs = {w: [] for w in workloads}
     machine, correct = None, True
     started = time.time()
-    for i in range(args.pairs):
-        seed = args.seed + i
+    for i in range(PAIRS):
+        seed = BASE_SEED + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload in workloads:
             pair = {"seed": seed, "first": order[0]}
@@ -120,11 +118,11 @@ def main(argv=None) -> int:
         "change": commits["change"],
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": os.cpu_count(), "benchmark": machine},
-        "method": (f"perfbench/run.py --seconds {seconds:g} of each commit's own checkout, {args.pairs} pairs "
+        "method": (f"perfbench/run.py --seconds {seconds:g} of each commit's own checkout, {PAIRS} pairs "
                    "per workload; pair i uses seed + i on both sides, the parent first in even pairs and the "
                    "change first in odd ones; medians and quartiles over the pairs; change_better_pairs counts "
                    "the pairs in which the change read better (ties count for neither side)"),
-        "seeds": [args.seed + i for i in range(args.pairs)],
+        "seeds": [BASE_SEED + i for i in range(PAIRS)],
         "seconds": seconds,
         "all_runs_correct": correct,
         "wall_s": time.time() - started,

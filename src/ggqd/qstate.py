@@ -218,7 +218,9 @@ def _params_with_defaults(family: str, parameters: dict, defaults: dict):
 def _probability_checks(values: dict, what: str) -> list:
     checks = [(_outside(v, 0.0, 1.0), lambda k, name=name, v=v: ParameterOutOfRangeError(
         f"{what} '{name}' = {float(v[k])} outside [0, 1]")) for name, v in values.items()]
-    total = sum(values.values())
+    # inf - inf or an overflow gives nan or inf here, which the range checks report first
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = sum(values.values())
     checks.append((np.abs(total - 1.0) > 1e-9, lambda k: ProbabilitiesNotNormalizedError(
         f"{what}s sum to {float(total[k])!r}, |sum - 1| > 1e-09")))
     return checks
@@ -289,8 +291,9 @@ def _x_state_checks(p, seed):
     # PSD of the two 2x2 blocks bounds the antidiagonal coherences.
     for name, i, j in (("rho03", "rho00", "rho33"), ("rho12", "rho11", "rho22")):
         size = np.abs(p[name])
-        # a product below 0, from an entry within RANGE_TOL below 0, gives nan, which passes
-        with np.errstate(invalid="ignore"):
+        # a product below 0, from an entry within RANGE_TOL below 0, gives nan, which passes;
+        # a product that overflows or is nan comes of an entry the earlier checks report
+        with np.errstate(invalid="ignore", over="ignore"):
             too_big = size > np.sqrt(p[i] * p[j]) + 1e-12
         checks.append((too_big, lambda k, name=name, i=i, j=j, size=size: ParameterOutOfRangeError(
             f"|{name}| = {float(size[k])} exceeds sqrt({i}*{j})")))

@@ -477,11 +477,18 @@ def test_family_stack_of_one_point(family, params):
     ("classical_classical", {"p00": [0.25, 0.3, 1.2]}, 1, "probabilitys sum to 1.05, |sum - 1| > 1e-09"),
     ("classical_classical", {"p00": [0.1, 0.1], "p01": [0.4, 0.4], "p10": [0.25, -0.05]}, 1,
      "probability 'p10' = -0.05 outside [0, 1]"),
+    ("classical_classical", {"p00": [0.25, np.inf], "p01": [0.25, -np.inf]}, 1,
+     "classical_classical parameter p00 = inf is not finite"),
+    ("classical_classical", {"p00": [0.25, 1e308], "p01": [0.25, 1e308]}, 1,
+     "probability 'p00' = 1e+308 outside [0, 1]"),
     ("pure_product", {"theta_a": [0.0, 1.0, np.inf]}, 2, "pure_product parameter theta_a = inf is not finite"),
     ("x_state", {"rho00": [0.25, 0.25, 0.25, -0.5], "rho03": [0.0, 0.1, 0.3, 0.0]}, 2,
      "|rho03| = 0.3 exceeds sqrt(rho00*rho33)"),
     ("x_state", {"rho00": [0.25, -0.5, 0.25], "rho03": [0.0, 0.3, 0.3]}, 1,
      "diagonal entry 'rho00' = -0.5 outside [0, 1]"),
+    ("x_state", {"rho00": [np.inf], "rho11": [-np.inf]}, 0, "x_state parameter rho00 = inf is not finite"),
+    ("x_state", {"rho00": [1e200], "rho33": [1e200], "rho03": [0.1]}, 0,
+     "diagonal entry 'rho00' = 1e+200 outside [0, 1]"),
     ("x_state", {"rho12": [0.0, 0.2, 0.25, 0.26]}, 3, "|rho12| = 0.26 exceeds sqrt(rho11*rho22)"),
     ("bell_phi_plus", {"c3": [0.1, 0.2]}, 0, "unknown parameter 'c3' for family 'bell_phi_plus'"),
     ("random", {"seed": 3}, 0, "unknown parameter 'seed' for family 'random'"),
