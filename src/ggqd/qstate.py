@@ -215,14 +215,14 @@ def _params_with_defaults(family: str, parameters: dict, defaults: dict):
     return out, checks, n
 
 
-def _probability_checks(values: dict, what: str) -> list:
+def _probability_checks(values: dict, what: str, plural: str) -> list:
     checks = [(_outside(v, 0.0, 1.0), lambda k, name=name, v=v: ParameterOutOfRangeError(
         f"{what} '{name}' = {float(v[k])} outside [0, 1]")) for name, v in values.items()]
     # inf - inf or an overflow gives nan or inf here, which the range checks report first
     with np.errstate(invalid="ignore", over="ignore"):
         total = sum(values.values())
     checks.append((np.abs(total - 1.0) > 1e-9, lambda k: ProbabilitiesNotNormalizedError(
-        f"{what}s sum to {float(total[k])!r}, |sum - 1| > 1e-09")))
+        f"{plural} sum to {float(total[k])!r}, |sum - 1| > 1e-09")))
     return checks
 
 
@@ -268,7 +268,7 @@ def _build_werner(p, seed):
 
 
 def _classical_classical_checks(p, seed):
-    return _probability_checks(p, "probability")
+    return _probability_checks(p, "probability", "probabilities")
 
 
 def _build_classical_classical(p, seed):
@@ -287,7 +287,8 @@ def _build_bell_phi_plus(p, seed):
 
 
 def _x_state_checks(p, seed):
-    checks = _probability_checks({k: p[k] for k in ("rho00", "rho11", "rho22", "rho33")}, "diagonal entry")
+    diagonal = {k: p[k] for k in ("rho00", "rho11", "rho22", "rho33")}
+    checks = _probability_checks(diagonal, "diagonal entry", "diagonal entries")
     # PSD of the two 2x2 blocks bounds the antidiagonal coherences.
     for name, i, j in (("rho03", "rho00", "rho33"), ("rho12", "rho11", "rho22")):
         size = np.abs(p[name])

@@ -18,10 +18,11 @@ f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
 
 The brute force oracle, the independent check, grids all four angles.
 It visits the a-rows of its grid in order of an upper bound on each
-row's maximum over b, one block at a time into one reused buffer (one
-product of per-a quadratic-form weights with the b-grid's pair
-monomials), and stops once no row left can reach the best value, so its
-best node is bit for bit the full grid's. It polishes f itself on the
+row's maximum over b, the top eigenvalue of a rank-2 form, one block at
+a time into one reused buffer (one product of per-a quadratic-form
+weights with the b-grid's pair monomials), and stops once no row left
+can reach the best value, so its best node is bit for bit the full
+grid's. It polishes f itself on the
 product of the two spheres from f's own gradient and Hessian. It never
 touches the a-reduction: _lockstep_newton sees only the terms, values
 and step solve that each solver hands it.
@@ -87,9 +88,10 @@ _ONES3 = np.ones(3)
 #: The oracle's 5 degree grid (_grid_angles) is a rectangle of 73 x 19 =
 #: 1,387 nodes per direction, 1,923,769 pairs, and its best node is the
 #: start of the oracle's Newton polish. The bound-ordered visit finds that
-#: node on a few a-rows: on 2,000 seeded Ginibre states it evaluated a
-#: median of 67 rows (93,000 pairs) and a 90th percentile of 478 of the
-#: 1,387.
+#: node on a few a-rows: on 2,000 seeded Ginibre states (seeds 0-1999) a
+#: median of 1 row and at most 73 could reach the best, and the visit
+#: evaluated a median and a 90th percentile of 8 rows (11,096 pairs) and at
+#: most 74 of the 1,387.
 _B_GRID_STEP = 0.035
 _ORACLE_STEP = 0.087
 
@@ -99,28 +101,38 @@ _ORACLE_PAIRS = np.array(np.triu_indices(3))
 _ORACLE_PAIR_WEIGHTS = np.where(_ORACLE_PAIRS[0] == _ORACLE_PAIRS[1], 1.0, 2.0)
 
 #: The oracle visits its grid's a-rows in order of a bound on each row's
-#: maximum, this many at a time, each block one K = 6 matmul into a reused
-#: buffer and one row max: a 64 x 1,387 float64 block is ~0.7 MB, which
-#: stays in L2. About half of all Ginibre states need no more than the
-#: first block, and 64 rows timed no slower than 32 or 48 per state. gemm
+#: maximum, in blocks, each one K = 6 matmul into a reused buffer and one
+#: row max. The first block has _ORACLE_FIRST_BLOCK rows: on Ginibre states
+#: a median of 1 row can still reach the best once it is known, so 8 rows
+#: usually end the visit (4 or 16 timed the same, 2 slower). Each later
+#: block runs up to the rows that may still win, at most _ORACLE_BLOCK of
+#: them: a 64 x 1,387 float64 block is ~0.7 MB, which stays in L2. gemm
 #: gives each row the same bits in any block, but NumPy hands a one-row
-#: product to gemv, which rounds differently, so a block cut short to the
-#: rows that may still win keeps at least 2 rows.
+#: product to gemv, which rounds differently, so every block has at least
+#: 2 rows.
+_ORACLE_FIRST_BLOCK = 8
 _ORACLE_BLOCK = 64
 
-#: A row a is skipped once its bound (x.a)^2 + |u|^2 + |y|^2 (_oracle_bounds)
-#: is below the best row value so far minus this margin, which covers
-#: rounding. On data scaled by _exact_scaling every entry is below 1, so
-#: |u|^2 = |T'a|^2 < 9, |y|^2 < 3 and (x.a)^2 < 3: every bound is below 16.
-#: A row value adds (x.a)^2 to a 6-term dot of the weights
-#: 2 (u_i u_j + y_i y_j) with the grid monomials b_i b_j. By Cauchy-Schwarz
-#: the terms' magnitudes sum to at most (|u|^2 + |y|^2) |b|^2, with
-#: |b|^2 = 1 to a few ulps, so the computed value exceeds the exact bound
-#: by at most ~10 roundings of a number below 16, and the computed bound
-#: loses at most ~5 more. That is under 20 ulps of 16, ~7e-14, and the margin is 14 times
-#: larger; the largest excess of a row value over its bound measured on
-#: ~450 states is 4.4e-16. So every skipped row is strictly below the
-#: best, and the first best row is the full grid's.
+#: A row a is skipped once its bound (x.a)^2 + lambda (_oracle_bounds), with
+#: lambda the top eigenvalue of uu' + yy', is below the best row value so
+#: far minus this margin, which covers rounding. The bound and the row's
+#: values take the same computed u = T'a and (x.a)^2, so only the roundings
+#: of the two computations count. On data scaled by _exact_scaling every
+#: entry is below 1, so |u|^2 < 9, |y|^2 < 3, |u.y| < 6 and (x.a)^2 < 3:
+#: every bound is below 16. A row value adds (x.a)^2 to a 6-term dot of the
+#: weights 2 (u_i u_j + y_i y_j) with the grid monomials b_i b_j. By
+#: Cauchy-Schwarz the terms' magnitudes sum to at most
+#: (|u|^2 + |y|^2) |b|^2 < 12, the form is at most lambda |b|^2, and
+#: |b|^2 = 1 to a few ulps, so the computed value exceeds the exact bound by
+#: at most ~12 roundings of a number below 16. The computed bound rounds
+#: |u|^2, |y|^2 and u.y (~7 roundings of numbers below 9), their
+#: difference, the square root of (|u|^2 - |y|^2)^2 + 4 (u.y)^2 (a norm,
+#: so it moves by no more than its inputs, plus ~3 roundings of a number
+#: below 12), and two sums: ~15 more. That is under 30 ulps of 16, ~1.1e-13,
+#: and the margin is 9 times larger; the largest excess of a row value over
+#: its bound measured on ~500 states, Werner, |Phi+>, rank-1 and
+#: orthogonal T and y along u among them, is 4.4e-16. So every skipped row
+#: is strictly below the best, and the first best row is the full grid's.
 _ORACLE_BOUND_MARGIN = 1e-12
 
 #: ggqd_bloch hands its solvers this many states at a time. Their lockstep
@@ -587,15 +599,26 @@ def _oracle_bounds(grid, x, y, t):
 
     ``x`` (3,), ``y`` (3,) and ``t`` (3, 3) are one state's scaled data.
     For fixed a, (a'Tb)^2 + (y.b)^2 = b'(uu' + yy')b is at most the top
-    eigenvalue of the positive semidefinite uu' + yy' on unit b, and so at
-    most its trace: the bound is (x.a)^2 + |u|^2 + |y|^2, exact up to
-    rounding (_ORACLE_BOUND_MARGIN).
+    eigenvalue of the rank-2 positive semidefinite uu' + yy' on unit b,
+    (|u|^2 + |y|^2 + sqrt((|u|^2 - |y|^2)^2 + 4 (u.y)^2)) / 2, which is
+    the maximum over every unit b. The bound is (x.a)^2 plus that, exact up
+    to rounding (_ORACLE_BOUND_MARGIN).
     """
     u = grid @ t  # row r is T'a for a = grid[r], as T'a = (a'T)'
     xa2 = np.square(grid @ x)
-    bound = np.square(u) @ _ONES3
+    uu = np.square(u) @ _ONES3
+    yy = y @ y
+    uy = u @ y
+    d = uu - yy
+    d *= d
+    uy *= uy
+    uy *= 4.0
+    d += uy
+    bound = np.sqrt(d, out=d)
+    bound += uu
+    bound += yy
+    bound *= 0.5
     bound += xa2
-    bound += y @ y
     return u, xa2, bound
 
 
@@ -605,9 +628,10 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     The data are first scaled by _exact_scaling, as the fast path's are.
     Both northern hemispheres are gridded at a 5 degree step. For each
     state, (a'Tb)^2 + (y.b)^2 = b'(uu' + yy')b with u = T'a is a quadratic
-    form in b, at most its trace, so (x.a)^2 + |u|^2 + |y|^2 bounds a's
-    row of f - 1 (_oracle_bounds). The rows are visited by descending
-    bound, _ORACLE_BLOCK at a time: each row gets its 6 pair weights
+    form in b, at most the top eigenvalue of uu' + yy', so (x.a)^2 plus
+    that eigenvalue bounds a's row of f - 1 (_oracle_bounds). The rows are
+    visited by descending bound, _ORACLE_FIRST_BLOCK first and then up to
+    _ORACLE_BLOCK at a time: each row gets its 6 pair weights
     (_pair_weights), one matmul of those with the grid's pair monomials
     fills one reused buffer with the form at every grid b, and a row max
     plus (x.a)^2 is the row's value. The visit stops once every row left
@@ -634,7 +658,7 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
         order = np.argsort(neg, kind="stable")  # by descending bound, ties in grid order
         neg = neg[order]
         row_max.fill(-math.inf)
-        best, lo, hi = -math.inf, 0, _ORACLE_BLOCK
+        best, lo, hi = -math.inf, 0, _ORACLE_FIRST_BLOCK
         while True:
             rows = order[lo:hi]
             f = buf[: len(rows)]
@@ -647,7 +671,8 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
             stop = int(np.searchsorted(neg, _ORACLE_BOUND_MARGIN - best, side="right"))
             if stop <= hi:
                 break
-            lo, hi = hi, min(max(stop, hi + 2), hi + _ORACLE_BLOCK)
+            # the last rows of the grid may leave one; the block then starts a row early
+            lo, hi = min(hi, len(grid) - 2), min(max(stop, hi + 2), hi + _ORACLE_BLOCK)
         ia = int(np.argmax(row_max))
         row = np.square(grid[ia] @ (t[k] @ grid.T))
         row += np.square(grid @ y[k])
@@ -658,15 +683,12 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     return _f_max(h, e), _orient(a), _orient(b)
 
 
-def _oracle_search(corr: CorrelationData):
-    """The oracle's (f_max, a_star, b_star) for one state: a batch of one through _oracle_many."""
-    f_max, a_star, b_star = _oracle_many(corr.x[None], corr.y[None], corr.T[None])
-    return float(f_max[0]), a_star[0], b_star[0]
-
-
 def brute_force_oracle(corr: CorrelationData) -> float:
-    """Independent check: exhaustive 4-angle hemisphere grid at a 5 degree step, then a Newton polish of f."""
-    return _oracle_search(corr)[0]
+    """Independent check: exhaustive 4-angle hemisphere grid at a 5 degree step, then a Newton polish of f.
+
+    A batch of one through _oracle_many.
+    """
+    return float(_oracle_many(corr.x[None], corr.y[None], corr.T[None])[0][0])
 
 
 def _bloch_stack(states):

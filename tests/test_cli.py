@@ -420,7 +420,7 @@ def test_sweep_names_first_failing_point(tmp_path, capsys, start, stop, named, m
     [
         ("werner", "p", "0.5", "1.5", "0.25", "p = 1.25:", "werner parameter p = 1.25 outside [0, 1]"),
         ("x-state", "rho03", "0", "0.5", "0.1", "rho03 = 0.3:", "|rho03| = 0.30000000000000004 exceeds"),
-        ("classical-classical", "p00", "0.25", "0.5", "0.25", "p00 = 0.5:", "probabilitys sum to 1.25"),
+        ("classical-classical", "p00", "0.25", "0.5", "0.25", "p00 = 0.5:", "probabilities sum to 1.25"),
         ("pure-product", "theta", "0", "1", "0.5", "theta = 0:", "unknown parameter 'theta'"),
     ],
 )

@@ -474,7 +474,7 @@ def test_family_stack_of_one_point(family, params):
     ("werner", {"q": 0.1, "p": [np.inf, 0.5]}, 0, "unknown parameter 'q' for family 'werner'"),
     ("bell_mixture", {"c3": [0.0, 0.5, -1.2, 3.0]}, 2, "bell_mixture parameter c3 = -1.2 outside [-1, 1]"),
     ("classical_classical", {"p00": [0.25, 0.25, 1.2, 0.3]}, 2, "probability 'p00' = 1.2 outside [0, 1]"),
-    ("classical_classical", {"p00": [0.25, 0.3, 1.2]}, 1, "probabilitys sum to 1.05, |sum - 1| > 1e-09"),
+    ("classical_classical", {"p00": [0.25, 0.3, 1.2]}, 1, "probabilities sum to 1.05, |sum - 1| > 1e-09"),
     ("classical_classical", {"p00": [0.1, 0.1], "p01": [0.4, 0.4], "p10": [0.25, -0.05]}, 1,
      "probability 'p10' = -0.05 outside [0, 1]"),
     ("classical_classical", {"p00": [0.25, np.inf], "p01": [0.25, -np.inf]}, 1,
@@ -487,6 +487,7 @@ def test_family_stack_of_one_point(family, params):
     ("x_state", {"rho00": [0.25, -0.5, 0.25], "rho03": [0.0, 0.3, 0.3]}, 1,
      "diagonal entry 'rho00' = -0.5 outside [0, 1]"),
     ("x_state", {"rho00": [np.inf], "rho11": [-np.inf]}, 0, "x_state parameter rho00 = inf is not finite"),
+    ("x_state", {"rho00": [0.25, 0.5]}, 1, "diagonal entries sum to 1.25, |sum - 1| > 1e-09"),
     ("x_state", {"rho00": [1e200], "rho33": [1e200], "rho03": [0.1]}, 0,
      "diagonal entry 'rho00' = 1e+200 outside [0, 1]"),
     ("x_state", {"rho12": [0.0, 0.2, 0.25, 0.26]}, 3, "|rho12| = 0.26 exceeds sqrt(rho11*rho22)"),
