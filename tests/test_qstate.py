@@ -487,13 +487,13 @@ def test_family_stack_of_one_point(family, params):
     ("x_state", {"rho00": [0.25, -0.5, 0.25], "rho03": [0.0, 0.3, 0.3]}, 1,
      "diagonal entry 'rho00' = -0.5 outside [0, 1]"),
     ("x_state", {"rho00": [np.inf], "rho11": [-np.inf]}, 0, "x_state parameter rho00 = inf is not finite"),
-    ("x_state", {"rho00": [0.25, 0.5]}, 1, "diagonal entries sum to 1.25, |sum - 1| > 1e-09"),
     ("x_state", {"rho00": [1e200], "rho33": [1e200], "rho03": [0.1]}, 0,
      "diagonal entry 'rho00' = 1e+200 outside [0, 1]"),
     ("x_state", {"rho12": [0.0, 0.2, 0.25, 0.26]}, 3, "|rho12| = 0.26 exceeds sqrt(rho11*rho22)"),
     ("bell_phi_plus", {"c3": [0.1, 0.2]}, 0, "unknown parameter 'c3' for family 'bell_phi_plus'"),
     ("random", {"seed": 3}, 0, "unknown parameter 'seed' for family 'random'"),
     ("nope", {"p": [0.1, 0.2]}, 0, "unknown family 'nope'"),
+    ("x_state", {"rho00": [0.25, 0.5]}, 1, "diagonal entries sum to 1.25, |sum - 1| > 1e-09"),
 ])
 def test_family_stack_raises_for_the_first_failing_point(family, params, where, message):
     # the first failing point raises what family_matrix raises for it alone, with its position as index
