@@ -6,16 +6,16 @@ maximizes over a exactly through the rank-2 eigenvalue formula, and
 polishes the best node with a few Newton steps on the sphere;
 the oracle grinds through all four measurement angles and never touches
 the reduction. Since f is even in a and in b, it grids the northern
-hemisphere of each sphere only (73 x 19 = 1,387 nodes, so 1,923,769
-pairs at its 5 degree step). It writes (a'Tb)^2 + (y.b)^2, a quadratic
-form in b, as six weights of the monomials b_i b_j, and bounds each row
-of a by the form's top eigenvalue, in closed form for its rank 2. It
-visits the rows by descending bound, 8 and then up to 64 at a time with
-one matmul and a row max, and stops once no row left can reach the
-best, so its best pair is the full grid's (a median of 8 rows of 1,387,
-and at most 74, on random states). It
-polishes that pair with a few Newton steps of f itself on both spheres
-at once.
+hemisphere of each sphere only, on the same kind of ring-scaled grid at
+a 5 degree step (873 nodes, so 762,129 pairs). It writes
+(a'Tb)^2 + (y.b)^2, a quadratic form in b, as six weights of the
+monomials b_i b_j, and bounds each row of a by the form's top
+eigenvalue, in closed form for its rank 2. It visits the rows by
+descending bound, 8 and then up to 64 at a time with one matmul and a
+row max, and stops once no row left can reach the best, so its best
+pair is the full grid's (8 rows of 873 on each of 2,000 random states).
+It polishes that pair with a few Newton steps of f itself on both
+spheres at once.
 Agreement on random states is the strongest correctness evidence the
 package ships.
 """

@@ -22,7 +22,6 @@ from .errors import (
     UnknownFamilyError,
 )
 from .objective import (
-    MeasurementDirections,
     objective_f,
     rank2_lambda_max,
     reduced_over_a,
@@ -65,7 +64,6 @@ __all__ = [
     "FAMILIES",
     "GgqdError",
     "GgqdResult",
-    "MeasurementDirections",
     "NonFiniteResultError",
     "NonHermitianError",
     "NonUnitDirectionError",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GgqdError, ParameterOutOfRangeError, StateFormatError
-from .pauli import pauli_decompose, pauli_decompose_stack
+from .pauli import pauli_decompose_stack
 from .qstate import (
     FAMILIES,
     HERMITICITY_TOL,
@@ -34,7 +34,7 @@ from .qstate import (
     save_state,
     validate_density_stack,
 )
-from .solver import _METHODS, _largest_entry, brute_force_oracle, ggqd, ggqd_bloch, maximize_objective
+from .solver import _METHODS, _largest_entry, ggqd_bloch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -79,8 +79,7 @@ def _gap_limit(x, y, t):
 
     f - 1 is quadratic in the data, so the rounding of either f_max grows
     like m^2. On physical states m <= 1 and the limit is ORACLE_GAP_LIMIT.
-    Takes one state's x, y and T, or stacked ones, and gives one limit per
-    state.
+    Takes stacked x, y and T and gives one limit per state.
     """
     m = _largest_entry(x, y, t)
     return ORACLE_GAP_LIMIT * np.maximum(1.0, m * m)
@@ -103,12 +102,20 @@ def _print_kv(pairs) -> None:
         print(f"{key.ljust(width)} = {value}")
 
 
-def _cmd_compute(args) -> int:
+def _load_bloch(args):
+    """The input state's x (1, 3), y (1, 3) and T (1, 3, 3), a batch of one for ggqd_bloch.
+
+    A note on stderr names a waived physicality check.
+    """
     rho = load_state(args.input, allow_nonphysical=args.allow_nonphysical)
     if rho.diagnostic:
         print(f"note: {rho.diagnostic}", file=sys.stderr)
-    corr = pauli_decompose(rho)
-    res = ggqd(corr, method=args.method)
+    return pauli_decompose_stack(rho.entries[None])
+
+
+def _cmd_compute(args) -> int:
+    x, y, t = _load_bloch(args)
+    (res,) = ggqd_bloch(x, y, t, method=args.method)
     if args.json:
         print(
             json.dumps(
@@ -135,7 +142,7 @@ def _cmd_compute(args) -> int:
         if res.oracle_gap is not None:
             pairs.append(("oracle_gap", _fmt(res.oracle_gap)))
         _print_kv(pairs)
-    if res.oracle_gap is not None and res.oracle_gap > _gap_limit(corr.x, corr.y, corr.T):
+    if res.oracle_gap is not None and res.oracle_gap > _gap_limit(x, y, t)[0]:
         return EXIT_GAP
     return EXIT_OK
 
@@ -241,10 +248,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    rho = load_state(args.input, allow_nonphysical=args.allow_nonphysical)
-    corr = pauli_decompose(rho)
-    f_fast = maximize_objective(corr)[0]
-    f_oracle = brute_force_oracle(corr)
+    x, y, t = _load_bloch(args)
+    f_fast = ggqd_bloch(x, y, t, "fast")[0].f_max
+    f_oracle = ggqd_bloch(x, y, t, "oracle")[0].f_max
     gap = abs(f_fast - f_oracle)
     if args.json:
         print(
@@ -264,7 +270,7 @@ def _cmd_oracle(args) -> int:
                 ("gap", _fmt(gap)),
             ]
         )
-    return EXIT_OK if gap <= _gap_limit(corr.x, corr.y, corr.T) else EXIT_GAP
+    return EXIT_OK if gap <= _gap_limit(x, y, t)[0] else EXIT_GAP
 
 
 def _cmd_gen(args) -> int:

@@ -14,8 +14,6 @@ over a exact and leaves only b to search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonUnitDirectionError
@@ -45,25 +43,6 @@ def _unit(v, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class MeasurementDirections:
-    """Unit measurement directions a (first qubit) and b (second qubit)."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a", "b"):
-            arr = _unit(getattr(self, name), name).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_angles(cls, theta1: float, theta2: float, theta3: float, theta4: float):
-        """b from spherical angles (theta1, theta2), a from (theta3, theta4)."""
-        return cls(a=sphere_direction(theta3, theta4), b=sphere_direction(theta1, theta2))
-
-
 def objective_rows(corr: CorrelationData, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """f(a, b) for each pair of rows of ``a`` and ``b`` (unchecked directions)."""
     yb = b @ corr.y
@@ -73,14 +52,9 @@ def objective_rows(corr: CorrelationData, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 def objective_f(corr: CorrelationData, dirs) -> float:
-    """Evaluate f(a, b); ``dirs`` is a MeasurementDirections or an (a, b) pair."""
-    if isinstance(dirs, MeasurementDirections):
-        a, b = dirs.a, dirs.b
-    else:
-        a, b = dirs
-        a = _unit(a, "a")
-        b = _unit(b, "b")
-    return float(objective_rows(corr, a, b))
+    """Evaluate f(a, b) at the pair ``dirs`` = (a, b); raises NonUnitDirectionError unless both are unit 3-vectors."""
+    a, b = dirs
+    return float(objective_rows(corr, _unit(a, "a"), _unit(b, "b")))
 
 
 def rank2_top(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

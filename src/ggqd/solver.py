@@ -16,16 +16,17 @@ every exact a-maximizer and trace_cc with stacked array operations. On X
 states (T diagonal, x and y along e3) it meets the paper's closed form
 f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
 
-The brute force oracle, the independent check, grids all four angles.
-It visits the a-rows of its grid in order of an upper bound on each
-row's maximum over b, the top eigenvalue of a rank-2 form, one block at
-a time into one reused buffer (one product of per-a quadratic-form
-weights with the b-grid's pair monomials), and stops once no row left
-can reach the best value, so its best node is bit for bit the full
-grid's. It polishes f itself on the
-product of the two spheres from f's own gradient and Hessian. It never
-touches the a-reduction: _lockstep_newton sees only the terms, values
-and step solve that each solver hands it.
+The brute force oracle, the independent check, grids both directions on
+a coarser grid of the same ring-scaled hemispheres (_ring_angles). It
+visits the a-rows of its grid in order of an upper bound on each row's
+maximum over b, the top eigenvalue of a rank-2 form, one block at a time
+into one reused buffer (one product of per-a quadratic-form weights with
+the b-grid's pair monomials), and stops once no row left can reach the
+best value, so its best node is bit for bit the full grid's. It polishes
+f itself on the product of the two spheres from f's own gradient and
+Hessian. It never touches the a-reduction: of the grids, the two solvers
+share only the angle builder, and _lockstep_newton sees only the terms,
+values and step solve that each solver hands it.
 
 GGQD(rho) = trace_cc(corr) - f_max / 4.
 """
@@ -58,7 +59,7 @@ _ORIENT_TOL = 1e-6
 #: tangent gradient is at most _NEWTON_GRAD_TOL (in the solver's scaled
 #: units), tries each step at full length and halved up to
 #: _NEWTON_HALVINGS times, and takes at most _NEWTON_MAX_ITERATIONS steps
-#: (the fast path needs 2 to 5, the oracle 3 to 8). A Newton step no
+#: (the fast path needs 2 to 5, the oracle 3 to 10). A Newton step no
 #: shorter than _NEWTON_LAST_STEP times the Hessian's smallest curvature
 #: must raise the objective to be taken.
 _NEWTON_GRAD_TOL = 1e-12
@@ -78,20 +79,19 @@ _PAIR_SHIFT = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1
 _EYE4 = np.eye(4)
 _ONES3 = np.ones(3)
 
-#: Grid steps in radians. Both grids cover polar angles [0, pi/2] only:
-#: f is even in a and in b, and so is g, so every direction's antipode lies
-#: in that hemisphere and the resolution is that of the full sphere. The
-#: fast path's 2 degree b-grid (_ring_angles) spaces the nodes of each
-#: polar ring about 2 degrees apart, so it has 5,170 nodes, one of them
-#: the pole, and a covering radius of 1.40 degrees (each node counted with
-#: its antipode); its first best node is the start of the Newton polish.
-#: The oracle's 5 degree grid (_grid_angles) is a rectangle of 73 x 19 =
-#: 1,387 nodes per direction, 1,923,769 pairs, and its best node is the
-#: start of the oracle's Newton polish. The bound-ordered visit finds that
-#: node on a few a-rows: on 2,000 seeded Ginibre states (seeds 0-1999) a
-#: median of 1 row and at most 73 could reach the best, and the visit
-#: evaluated a median and a 90th percentile of 8 rows (11,096 pairs) and at
-#: most 74 of the 1,387.
+#: Grid steps in radians. Both grids are _ring_angles' ring-scaled
+#: northern hemispheres: f is even in a and in b, and so is g, so every
+#: direction's antipode lies in that hemisphere and the resolution is that
+#: of the full sphere. The nodes of each polar ring lie about one step
+#: apart, and the pole is one node, the first. The fast path's 2 degree
+#: b-grid has 5,170 nodes and a covering radius of 1.40 degrees (each node
+#: counted with its antipode); its first best node is the start of the
+#: Newton polish. The oracle's 5 degree grid has 873 nodes per direction,
+#: 762,129 pairs, and a covering radius of 3.50 degrees; its best node is
+#: the start of the oracle's Newton polish. The bound-ordered visit finds
+#: that node on a few a-rows: on 2,000 seeded Ginibre states (seeds
+#: 0-1999) a median of 1 row and at most 7 could reach the best, and the
+#: visit evaluated 8 rows (6,984 pairs) on every one of them.
 _B_GRID_STEP = 0.035
 _ORACLE_STEP = 0.087
 
@@ -104,12 +104,12 @@ _ORACLE_PAIR_WEIGHTS = np.where(_ORACLE_PAIRS[0] == _ORACLE_PAIRS[1], 1.0, 2.0)
 #: maximum, in blocks, each one K = 6 matmul into a reused buffer and one
 #: row max. The first block has _ORACLE_FIRST_BLOCK rows: on Ginibre states
 #: a median of 1 row can still reach the best once it is known, so 8 rows
-#: usually end the visit (4 or 16 timed the same, 2 slower). Each later
-#: block runs up to the rows that may still win, at most _ORACLE_BLOCK of
-#: them: a 64 x 1,387 float64 block is ~0.7 MB, which stays in L2. gemm
-#: gives each row the same bits in any block, but NumPy hands a one-row
-#: product to gemv, which rounds differently, so every block has at least
-#: 2 rows.
+#: usually end the visit (on an earlier 1,387-node grid, 4 or 16 rows timed
+#: the same and 2 slower). Each later block runs up to the rows that may
+#: still win, at most _ORACLE_BLOCK of them: a 64 x 873 float64 block is
+#: ~0.45 MB, which stays in L2. gemm gives each row the same bits in any
+#: block, but NumPy hands a one-row product to gemv, which rounds
+#: differently, so every block has at least 2 rows.
 _ORACLE_FIRST_BLOCK = 8
 _ORACLE_BLOCK = 64
 
@@ -170,27 +170,17 @@ def _orient(v: np.ndarray) -> np.ndarray:
     return v * np.where(key < 0.0, -1.0, 1.0)[..., None]
 
 
-def _grid_angles(step: float) -> np.ndarray:
-    """The (azimuth, polar) pairs of the northern-hemisphere grid at ``step``, read-only.
-
-    Polar angles run from 0 in steps of ``step``; the last is clipped to
-    pi/2, so no node lies south of the equator.
-    """
-    azimuth = np.arange(0.0, 2.0 * math.pi, step)
-    polar = np.minimum(np.arange(0.0, 0.5 * math.pi + 0.5 * step, step), 0.5 * math.pi)
-    angles = np.stack(np.meshgrid(azimuth, polar, indexing="ij"), axis=-1).reshape(-1, 2)
-    angles.setflags(write=False)
-    return angles
-
-
 def _ring_angles(step: float) -> np.ndarray:
     """The (azimuth, polar) pairs of the ring-scaled northern-hemisphere grid at ``step``, read-only.
 
-    The polar rings are _grid_angles'. The ring at polar angle theta has
-    max(1, ceil(2 pi sin theta / step)) evenly spaced azimuths from 0, so
-    its neighbours lie at most ``step`` apart, and the pole is one node,
-    the first. On the equator only the first half of the azimuths, those
-    in [0, pi), is kept: the others are their antipodes.
+    Polar angles run from 0 in steps of ``step``; the last is clipped to
+    pi/2, so no node lies south of the equator. The ring at polar angle
+    theta has max(1, ceil(2 pi sin theta / step)) evenly spaced azimuths
+    from 0, so its neighbours lie at most ``step`` apart, and the pole is
+    one node, the first. On the equator only the first half of the
+    azimuths, those in [0, pi), is kept: the others are their antipodes.
+    Both solvers' grids are built here: the fast path's b-grid at
+    _B_GRID_STEP and the oracle's at _ORACLE_STEP.
     """
     polar = np.minimum(np.arange(0.0, 0.5 * math.pi + 0.5 * step, step), 0.5 * math.pi)
     full = np.maximum(1.0, np.ceil(2.0 * math.pi * np.sin(polar) / step))
@@ -205,13 +195,15 @@ def _ring_angles(step: float) -> np.ndarray:
 
 @functools.cache
 def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's northern-hemisphere unit vectors (m, 3) and their pair monomials (6, m), read-only.
+    """The oracle's grid: unit vectors (m, 3) and their pair monomials (6, m), read-only.
 
+    The vectors are _ring_angles' 873 nodes at _ORACLE_STEP, the same
+    ring-scaled northern hemisphere as the fast path's b-grid, coarser.
     Row r of the monomials is b_i b_j for (i, j) = _ORACLE_PAIRS[:, r], one
     column per vector, so a weighted sum of the rows is a quadratic form in
     b. Built on first use and shared.
     """
-    angles = _grid_angles(_ORACLE_STEP)
+    angles = _ring_angles(_ORACLE_STEP)
     bs = sphere_direction(angles[:, 0], angles[:, 1])
     i, j = _ORACLE_PAIRS
     pairs = np.ascontiguousarray((bs[:, i] * bs[:, j]).T)
@@ -626,7 +618,8 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     """The oracle on stacked x (n, 3), y (n, 3) and T (n, 3, 3), as one batch: 4-angle grid, then Newton on f.
 
     The data are first scaled by _exact_scaling, as the fast path's are.
-    Both northern hemispheres are gridded at a 5 degree step. For each
+    a and b both run over _direction_grid's 873 nodes, a ring-scaled
+    northern hemisphere at a 5 degree step. For each
     state, (a'Tb)^2 + (y.b)^2 = b'(uu' + yy')b with u = T'a is a quadratic
     form in b, at most the top eigenvalue of uu' + yy', so (x.a)^2 plus
     that eigenvalue bounds a's row of f - 1 (_oracle_bounds). The rows are
@@ -684,9 +677,10 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
 
 
 def brute_force_oracle(corr: CorrelationData) -> float:
-    """Independent check: exhaustive 4-angle hemisphere grid at a 5 degree step, then a Newton polish of f.
+    """Independent check: a 4-angle grid of 873 x 873 hemisphere pairs at a 5 degree step, then a Newton polish of f.
 
-    A batch of one through _oracle_many.
+    A batch of one through _oracle_many, which skips the a-rows that its
+    bound shows cannot hold the grid's best pair.
     """
     return float(_oracle_many(corr.x[None], corr.y[None], corr.T[None])[0][0])
 

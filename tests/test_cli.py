@@ -499,12 +499,29 @@ def test_oracle_mixed(tmp_path, capsys):
 
 def test_oracle_gap_exit_code(tmp_path, capsys, monkeypatch):
     # exit 5 is reserved for disagreement above 1e-3; force one
-    import ggqd.cli as cli_mod
+    import ggqd.solver as solver_mod
 
-    monkeypatch.setattr(cli_mod, "brute_force_oracle", lambda corr: 0.5)
+    real_oracle = solver_mod._oracle_many
+
+    def skewed(x, y, t):
+        f_max, a_star, b_star = real_oracle(x, y, t)
+        return np.full_like(f_max, 0.5), a_star, b_star
+
+    monkeypatch.setattr(solver_mod, "_oracle_many", skewed)
     code, out = run_cli(["oracle", write_mixed(tmp_path), "--json"], capsys)
     assert code == 5
     assert json.loads(out)["gap"] == 0.5
+
+
+def test_oracle_notes_waived_physicality(tmp_path, capsys):
+    # as compute and gen do: the waiver is named on stderr, and stdout is the report alone
+    path = write_bell(tmp_path, 0.5)
+    code = main(["oracle", path, "--allow-nonphysical", "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.startswith("note: smallest eigenvalue ")
+    assert captured.err.endswith("; physicality waived\n")
+    assert set(json.loads(captured.out)) == {"f_max_fast", "f_max_oracle", "gap"}
 
 
 def test_oracle_random_states(tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from ggqd import (
     CorrelationData,
-    MeasurementDirections,
     NonUnitDirectionError,
     StateFamilySpec,
     generate_state,
@@ -70,23 +69,15 @@ def test_objective_non_unit_direction():
     with pytest.raises(NonUnitDirectionError):
         objective_f(corr, (np.array([1.0, 1.0, 0.0]), E3))
     with pytest.raises(NonUnitDirectionError):
-        MeasurementDirections(a=E3, b=np.array([0.0, 0.0, 0.9]))
+        objective_f(corr, (E3, np.array([0.0, 0.0, 0.9])))
 
 
 def test_nan_direction_rejected():
     nan_dir = np.array([np.nan, 0.0, 1.0])
     with pytest.raises(NonUnitDirectionError):
-        MeasurementDirections(a=nan_dir, b=E3)
+        objective_f(mixed_corr(), (nan_dir, E3))
     with pytest.raises(NonUnitDirectionError):
         objective_f(mixed_corr(), (E3, nan_dir))
-
-
-def test_measurement_directions_from_angles():
-    dirs = MeasurementDirections.from_angles(0.3, 1.1, 2.0, 0.6)
-    assert np.allclose(dirs.b, sphere_direction(0.3, 1.1), atol=1e-15)
-    assert np.allclose(dirs.a, sphere_direction(2.0, 0.6), atol=1e-15)
-    corr = bell_corr(0.4)
-    assert objective_f(corr, dirs) == objective_f(corr, (dirs.a, dirs.b))
 
 
 def test_rank2_rank1_case():
