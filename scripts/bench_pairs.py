@@ -13,6 +13,16 @@ a drift in the host's speed falls on both sides alike. The output holds, per wor
 each side's median and quartiles over the pairs, the pairs in which the
 change read better, and every pair's values, with the machine, the
 method and the seeds.
+
+Each metric also gets two verdicts, from its ``bound`` and ``better`` in
+BENCHMARK.json. ``gain_rule_met`` is true when the change read better in
+at least GAIN_PAIRS of the pairs and its median moved the better way by
+more than the parent's quartile spread. ``regression`` is "yes" when the
+change's median is worse than the parent's by more than the bound (a
+fraction of the parent's median), else "unresolved" when the parent's
+quartile spread is wider than that bound and not every run of the change
+read better than every run of the parent, so no verdict can be read from
+the runs, else "no".
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ from pathlib import Path
 
 PAIRS = 10
 BASE_SEED = 3201
+#: the pairs out of PAIRS in which the change must read better for a claimed gain
+GAIN_PAIRS = 9
 
 
 def export(rev: str, directory: Path) -> str:
@@ -58,13 +70,29 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(pairs: list[dict], better: dict) -> dict:
-    """Per metric: each side's quartiles, the pairs the change won, and every pair's values."""
+def verdicts(parent: list[float], change: list[float], spec: dict) -> dict:
+    """The pairs the change won, gain_rule_met and regression for one metric; ``spec`` is its BENCHMARK.json entry."""
+    sign = -1.0 if spec["better"] == "lower" else 1.0
+    q1, median, q3 = quartiles(parent)
+    gain = sign * (statistics.median(change) - median)
+    better_pairs = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0.0)
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if -gain > spec["bound"] * abs(median):
+        regression = "yes"
+    elif q3 - q1 > spec["bound"] * abs(median) and not every_run_better:
+        regression = "unresolved"
+    else:
+        regression = "no"
+    return {"change_better_pairs": better_pairs, "gain_rule_met": better_pairs >= GAIN_PAIRS and gain > q3 - q1,
+            "regression": regression}
+
+
+def summarize(pairs: list[dict], specs: dict) -> dict:
+    """Per metric: each side's quartiles, the pairs the change won, the verdicts and every pair's values."""
     out = {}
     for name in pairs[0]["parent"]:
         parent = [p["parent"][name]["value"] for p in pairs]
         change = [p["change"][name]["value"] for p in pairs]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
         q_parent, q_change = quartiles(parent), quartiles(change)
         out[name] = {
             "unit": pairs[0]["parent"][name]["unit"],
@@ -73,7 +101,8 @@ def summarize(pairs: list[dict], better: dict) -> dict:
             "change_vs_parent": q_change[1] / q_parent[1] - 1.0 if q_parent[1] else None,
             "parent_quartiles": [q_parent[0], q_parent[2]],
             "change_quartiles": [q_change[0], q_change[2]],
-            "change_better_pairs": sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0.0),
+            "bound": specs[name]["bound"],
+            **verdicts(parent, change, specs[name]),
             "pairs": [[p, c] for p, c in zip(parent, change)],
         }
     return out
@@ -88,7 +117,7 @@ def main(argv=None) -> int:
 
     spec = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    specs = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     work = Path(".bench_pairs")
     sides = {"parent": work / "parent", "change": work / "change"}
@@ -121,12 +150,16 @@ def main(argv=None) -> int:
         "method": (f"perfbench/run.py --seconds {seconds:g} of each commit's own checkout, {PAIRS} pairs "
                    "per workload; pair i uses seed + i on both sides, the parent first in even pairs and the "
                    "change first in odd ones; medians and quartiles over the pairs; change_better_pairs counts "
-                   "the pairs in which the change read better (ties count for neither side)"),
+                   "the pairs in which the change read better (ties count for neither side); gain_rule_met: better in "
+                   f"at least {GAIN_PAIRS} pairs and the median moved the better way by more than the parent's "
+                   "quartile spread; regression: yes (worse than the parent's median by more than BENCHMARK.json's "
+                   "bound, a fraction of it), unresolved (the parent's quartile spread is wider than that bound, "
+                   "unless every change run read better than every parent run) or no"),
         "seeds": [BASE_SEED + i for i in range(PAIRS)],
         "seconds": seconds,
         "all_runs_correct": correct,
         "wall_s": time.time() - started,
-        "workloads": {w: summarize(runs[w], better) for w in workloads},
+        "workloads": {w: summarize(runs[w], specs) for w in workloads},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     shutil.rmtree(work, ignore_errors=True)

@@ -110,7 +110,11 @@ def _load_bloch(args):
     rho = load_state(args.input, allow_nonphysical=args.allow_nonphysical)
     if rho.diagnostic:
         print(f"note: {rho.diagnostic}", file=sys.stderr)
-    return pauli_decompose_stack(rho.entries[None])
+    x, y, t = pauli_decompose_stack(rho.entries[None])
+    for name, v in (("x", x), ("y", y), ("T", t)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")  # ggqd_bloch's message would name "state 0"
+    return x, y, t
 
 
 def _cmd_compute(args) -> int:

@@ -149,7 +149,7 @@ def reduction_coefficients(ttt: np.ndarray, ttx: np.ndarray, y: np.ndarray) -> n
     ``ttt`` is T'T, shape (..., 3, 3), and ``ttx`` is T'x and ``y`` the
     second Bloch vector, shape (..., 3). r = |Tb|^2 = b'(T'T)b and
     q = (Tb).x = (T'x).b are the inputs of the rank-2 eigenvalue formula in
-    reduced_over_a_monomials.
+    reduced_excess.
     """
     c = np.zeros(ttt.shape[:-2] + (3, 9))
     c[..., 0, :6] = ttt[..., _PAIR_I, _PAIR_J] * np.where(_PAIR_I == _PAIR_J, 1.0, 2.0)
@@ -158,26 +158,16 @@ def reduction_coefficients(ttt: np.ndarray, ttx: np.ndarray, y: np.ndarray) -> n
     return c
 
 
-def reduced_over_a_monomials(coef: np.ndarray, p, mono: np.ndarray) -> np.ndarray:
-    """g(b) - 1 at every monomial column (values only, no maximizers).
+def reduced_excess(r, q, yb, p):
+    """g(b) - 1 = (y.b)^2 + lambda_max from r = |Tb|^2, q = (Tb).x, y.b and p = |x|^2, in place.
 
-    ``coef`` is reduction_coefficients of the data, shape (..., 3, 9), ``p``
-    is |x|^2 (broadcast against the columns) and ``mono`` is
-    direction_monomials(b), shape (..., 9, m); the result has shape (..., m).
-    With r = |Tb|^2 and q = (Tb).x, the top eigenvalue of x x' + (Tb)(Tb)' is
-    lambda_max = (p + r + sqrt((p - r)^2 + 4 q^2)) / 2. The value
-    g - 1 = (y.b)^2 + lambda_max is homogeneous of degree 2 in (x, y, T), so
-    scaling the data by a power of two scales it exactly.
-
-    The formula runs in place in the rows of coef @ mono, with one
-    temporary, where the plain expression makes ten. On the 16,380-node
-    full-sphere grid of earlier versions each was a 131 KB block that the
-    C allocator mapped and unmapped, and their page faults cost up to
-    twice the arithmetic (measured on a 2-core Xeon under Linux). The
-    result is a view of the y.b row.
+    ``r``, ``q`` and ``yb`` are writable arrays of one shape, which ``p``
+    broadcasts against; all three are overwritten and the result is ``yb``.
+    lambda_max = (p + r + sqrt((p - r)^2 + 4 q^2)) / 2 is the top eigenvalue
+    of x x' + (Tb)(Tb)'. The b-grid and the fast path's polish share this one
+    copy. It makes one temporary where the plain expression makes ten, whose
+    page faults cost up to twice the arithmetic on large grids.
     """
-    rqy = coef @ mono
-    r, q, yb = rqy[..., 0, :], rqy[..., 1, :], rqy[..., 2, :]
     d = p - r
     d *= d
     q *= q
@@ -190,3 +180,13 @@ def reduced_over_a_monomials(coef: np.ndarray, p, mono: np.ndarray) -> np.ndarra
     yb *= yb
     yb += r
     return yb
+
+
+def reduced_over_a_monomials(coef: np.ndarray, p, mono: np.ndarray) -> np.ndarray:
+    """g(b) - 1 at every monomial column: reduced_excess on the rows (r, q, y.b) of coef @ mono, in place.
+
+    ``coef`` is reduction_coefficients of the data (..., 3, 9), ``p`` is |x|^2 (broadcast against the
+    columns) and ``mono`` is direction_monomials(b) (..., 9, m); the result has shape (..., m).
+    """
+    rqy = coef @ mono
+    return reduced_excess(rqy[..., 0, :], rqy[..., 1, :], rqy[..., 2, :], p)

@@ -10,9 +10,12 @@ state's result does not depend on its batch. ggqd_bloch hands both
 solvers at most _CHUNK states at a time.
 
 The fast path evaluates the exact a-reduction g(b) = max_a f(a, b) on a
-b-grid through cached monomials, polishes g on the sphere from the
-closed-form gradient and Hessian of the rank-2 eigenvalue, and recovers
-every exact a-maximizer and trace_cc with stacked array operations. On X
+b-grid as one product of its 3 x 9 coefficients with the grid's cached
+monomials. It polishes g on the sphere from the closed-form tangent
+gradient and 2 x 2 Hessian of the rank-2 eigenvalue, taking each trial
+value from one product of the trial points with [T'T | T'x | y]; both
+routes end in the one eigenvalue formula, reduced_excess. Every exact
+a-maximizer and trace_cc then come from stacked array operations. On X
 states (T diagonal, x and y along e3) it meets the paper's closed form
 f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
 
@@ -43,6 +46,7 @@ from .errors import NonFiniteResultError
 from .objective import (
     direction_monomials,
     rank2_top,
+    reduced_excess,
     reduced_over_a_monomials,
     reduction_coefficients,
     sphere_direction,
@@ -66,9 +70,11 @@ _NEWTON_GRAD_TOL = 1e-12
 _NEWTON_HALVINGS = 30
 _NEWTON_MAX_ITERATIONS = 50
 _NEWTON_LAST_STEP = 1e-6
-#: The trial step lengths 1, 1/2, ..., 2^-_NEWTON_HALVINGS, and the 2x2 identity.
+#: The trial step lengths 1, 1/2, ..., 2^-_NEWTON_HALVINGS, the 2x2 identity, and the
+#: signs that take a 2x2 matrix with its rows and columns reversed to minus its adjugate.
 _STEP_LENGTHS = 0.5 ** np.arange(_NEWTON_HALVINGS + 1)
 _EYE2 = np.eye(2)
+_NEG_ADJ = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 #: The oracle's tangent coordinates in the frame of a pair (a, b): rows 1
 #: and 2 of a's frame, then rows 1 and 2 of b's. _PAIR_SHIFT takes
@@ -82,16 +88,12 @@ _ONES3 = np.ones(3)
 #: Grid steps in radians. Both grids are _ring_angles' ring-scaled
 #: northern hemispheres: f is even in a and in b, and so is g, so every
 #: direction's antipode lies in that hemisphere and the resolution is that
-#: of the full sphere. The nodes of each polar ring lie about one step
-#: apart, and the pole is one node, the first. The fast path's 2 degree
-#: b-grid has 5,170 nodes and a covering radius of 1.40 degrees (each node
-#: counted with its antipode); its first best node is the start of the
-#: Newton polish. The oracle's 5 degree grid has 873 nodes per direction,
-#: 762,129 pairs, and a covering radius of 3.50 degrees; its best node is
-#: the start of the oracle's Newton polish. The bound-ordered visit finds
-#: that node on a few a-rows: on 2,000 seeded Ginibre states (seeds
-#: 0-1999) a median of 1 row and at most 7 could reach the best, and the
-#: visit evaluated 8 rows (6,984 pairs) on every one of them.
+#: of the full sphere. The fast path's 2 degree b-grid has 5,170 nodes and
+#: a covering radius of 1.40 degrees (each node counted with its antipode);
+#: its first best node is the start of the Newton polish. The oracle's
+#: 5 degree grid has 873 nodes per direction, 762,129 pairs, and a covering
+#: radius of 3.50 degrees; its best node is the start of the oracle's
+#: Newton polish.
 _B_GRID_STEP = 0.035
 _ORACLE_STEP = 0.087
 
@@ -102,10 +104,10 @@ _ORACLE_PAIR_WEIGHTS = np.where(_ORACLE_PAIRS[0] == _ORACLE_PAIRS[1], 1.0, 2.0)
 
 #: The oracle visits its grid's a-rows in order of a bound on each row's
 #: maximum, in blocks, each one K = 6 matmul into a reused buffer and one
-#: row max. The first block has _ORACLE_FIRST_BLOCK rows: on Ginibre states
-#: a median of 1 row can still reach the best once it is known, so 8 rows
-#: usually end the visit (on an earlier 1,387-node grid, 4 or 16 rows timed
-#: the same and 2 slower). Each later block runs up to the rows that may
+#: row max. The first block has _ORACLE_FIRST_BLOCK rows: on 2,000 Ginibre
+#: states (seeds 0-1999) a median of 1 row and at most 7 could reach the
+#: best, and the visit evaluated 8 rows (6,984 pairs) on every one (on an
+#: earlier 1,387-node grid, 4 or 16 rows timed the same and 2 slower). Each later block runs up to the rows that may
 #: still win, at most _ORACLE_BLOCK of them: a 64 x 873 float64 block is
 #: ~0.45 MB, which stays in L2. gemm gives each row the same bits in any
 #: block, but NumPy hands a one-row product to gemv, which rounds
@@ -179,8 +181,6 @@ def _ring_angles(step: float) -> np.ndarray:
     from 0, so its neighbours lie at most ``step`` apart, and the pole is
     one node, the first. On the equator only the first half of the
     azimuths, those in [0, pi), is kept: the others are their antipodes.
-    Both solvers' grids are built here: the fast path's b-grid at
-    _B_GRID_STEP and the oracle's at _ORACLE_STEP.
     """
     polar = np.minimum(np.arange(0.0, 0.5 * math.pi + 0.5 * step, step), 0.5 * math.pi)
     full = np.maximum(1.0, np.ceil(2.0 * math.pi * np.sin(polar) / step))
@@ -214,11 +214,9 @@ def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _grid_monomials() -> np.ndarray:
-    """The direction_monomials of the b-grid's directions, read-only.
+    """The direction_monomials (9, m) of the b-grid, read-only and built on first use.
 
-    Built on first use. One contiguous (9, m) array; its last three rows
-    are the directions themselves, so unlike _direction_grid no separate
-    vectors are kept.
+    The last three rows are the directions themselves; no separate vectors are kept.
     """
     angles = _ring_angles(_B_GRID_STEP)
     mono = direction_monomials(sphere_direction(angles[:, 0], angles[:, 1]))
@@ -295,12 +293,8 @@ def _tangent_frame(b: np.ndarray) -> np.ndarray:
     return frame
 
 
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[:, :, None] * v[:, None, :]
-
-
 def _derivatives(kcy: np.ndarray, p: np.ndarray, b: np.ndarray):
-    """The frame at each unit row of ``b``, and the gradient and Hessian of g in it.
+    """The frame F = _tangent_frame(b) at each unit row of ``b``, F grad g, and E (hess g) E', E F's tangent rows.
 
     ``kcy`` and ``p`` are as _scaled_data returns them. With r = b'Kb,
     q = c.b, s = sqrt((p - r)^2 + 4 q^2) and u = (r - p) Kb + 2 q c,
@@ -309,12 +303,14 @@ def _derivatives(kcy: np.ndarray, p: np.ndarray, b: np.ndarray):
         grad g = 2 (y.b) y + Kb + u / s,
         hess g = 2 y y' + K + ((r - p) K + 2 Kb Kb' + 2 c c' - 2 u u' / s^2) / s.
 
-    Both are returned in the coordinates of the frame F = _tangent_frame(b),
-    F grad and F hess F', so their first coordinate is along b and the
-    other two span the tangent plane. |r - p| and |2 q| are at most s, so
-    u / s stays bounded. Where s <= 1e-100 (s = 0 means p = r and q = 0,
-    where the eigenvalue need not be differentiable) the terms divided by
-    s are dropped, so no entry overflows.
+    F grad's first coordinate is along b. With d = (r - p) / s and
+    e = 2 q / s, d^2 + e^2 = 1 makes Kb Kb' + c c' - u u' / s^2 = w w',
+    w = e Kb - d c, so E hess E' = 2 (Ey)(Ey)' + 2 (Ew)(Ew)' / s +
+    (1 + d) E K E': one product of the tangent rows of y and w / sqrt(s).
+    u / s stays bounded, as |r - p| and |2 q| are at most s. Where
+    s <= 1e-100 (s = 0 means p = r and q = 0, where the eigenvalue need not
+    be differentiable) the terms divided by s are dropped, so no entry
+    overflows.
     """
     frame = _tangent_frame(b)
     fkcy = frame @ kcy
@@ -322,24 +318,24 @@ def _derivatives(kcy: np.ndarray, p: np.ndarray, b: np.ndarray):
     kb, c, y = k[:, :, 0], fkcy[:, :, 3], fkcy[:, :, 4]
     r, q, yb = kb[:, 0], c[:, 0], y[:, 0]
     s = np.hypot(p - r, 2.0 * q)
-    smooth = s > 1e-100
-    inv = smooth / np.where(smooth, s, 1.0)
-    d = (r - p) * inv
-    v = d[:, None] * kb + (2.0 * q * inv)[:, None] * c  # u / s
+    inv = (s > 1e-100) / np.maximum(s, 1e-100)
+    d, e = (r - p) * inv, 2.0 * q * inv
+    v = d[:, None] * kb + e[:, None] * c  # u / s
     grad = (2.0 * yb)[:, None] * y + kb + v
-    hess = 2.0 * _outer(y, y) + (1.0 + d)[:, None, None] * k
-    hess += (2.0 * inv)[:, None, None] * (_outer(kb, kb) + _outer(c, c) - _outer(v, v))
+    ew = np.sqrt(inv)[:, None] * (e[:, None] * kb[:, 1:] - d[:, None] * c[:, 1:])  # E w / sqrt(s)
+    rows = np.concatenate([y[:, None, 1:], ew[:, None]], axis=1)
+    hess = 2.0 * (rows.swapaxes(1, 2) @ rows)
+    hess += (1.0 + d)[:, None, None] * k[:, 1:, 1:]
     return frame, grad, hess
 
 
 def _tangent_terms(kcy: np.ndarray, p: np.ndarray, b: np.ndarray):
     """The frame (n, 3, 3), tangent gradient (n, 2) and tangent Hessian (n, 2, 2) of g at rows of ``b``.
 
-    The Riemannian Hessian on the sphere is the tangent block of the
-    Euclidean one minus (b.grad g) I.
+    The Riemannian Hessian is _derivatives' block less (b.grad g) I.
     """
     frame, grad, hess = _derivatives(kcy, p, b)
-    return frame, grad[:, 1:], hess[:, 1:, 1:] - grad[:, 0, None, None] * _EYE2
+    return frame, grad[:, 1:], hess - grad[:, 0, None, None] * _EYE2
 
 
 def _lockstep_newton(z, h, terms, value, solve):
@@ -411,41 +407,48 @@ def _lockstep_newton(z, h, terms, value, solve):
 def _tangent_step(frame, grad, hess, gnorm):
     """The fast path's step (n, 3) from _tangent_terms' frame, gradient and Hessian, and its last-step test.
 
-    Newton where the tangent Hessian is negative definite, solved in closed
-    form; elsewhere the gradient divided by the larger of a Gershgorin bound
-    on that Hessian and ``gnorm``. |w| is bounded below by det / |trace|.
+    Newton, through the adjugate, where the tangent Hessian is negative
+    definite; elsewhere the gradient divided by the larger of a Gershgorin
+    bound on that Hessian and ``gnorm``. |w| >= det / |trace|.
     """
-    g1, g2 = grad[:, 0], grad[:, 1]
     h11, h12, h22 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
     det = h11 * h22 - h12 * h12
     newton = (h11 < 0.0) & (det > 0.0)
-    det = np.where(newton, det, 1.0)
-    bound = np.maximum(np.maximum(abs(h11), abs(h22)) + abs(h12), gnorm)
-    d1 = np.where(newton, (h12 * g2 - h22 * g1) / det, g1 / bound)
-    d2 = np.where(newton, (h12 * g1 - h11 * g2) / det, g2 / bound)
-    length = np.hypot(d1, d2)
-    cap = 1.0 / np.maximum(length, 1.0)
-    step = (d1 * cap)[:, None] * frame[:, 1] + (d2 * cap)[:, None] * frame[:, 2]
+    # d = -hess^-1 grad = -adj(hess) grad / det on Newton rows, grad / bound elsewhere
+    inverse, denom = hess[:, ::-1, ::-1] * _NEG_ADJ, det
+    if np.count_nonzero(newton) < len(newton):
+        inverse[~newton] = _EYE2
+        denom = np.where(newton, det, np.maximum(np.maximum(abs(h11), abs(h22)) + abs(h12), gnorm))
+    d = (inverse @ grad[:, :, None])[:, :, 0] / denom[:, None]
+    length = np.hypot(d[:, 0], d[:, 1])
+    step = (d[:, None] @ frame[:, 1:])[:, 0] / np.maximum(length, 1.0)[:, None]
     # |d| |trace| <= limit det, as trace < 0 on Newton rows
     return step, lambda limit: newton & (length * (h11 + h22) >= -limit * det)
 
 
-def _newton_ascent(kcy, p, coef, b, h):
+def _trial_excess(kcy: np.ndarray, p, b: np.ndarray) -> np.ndarray:
+    """g(b) - 1 at unit rows of ``b`` (n, m, 3), state k's on kcy[k] (n, 3, 5) and p[k] (broadcast to (n, m)).
+
+    One product with [K | c | y] gives Kb, c.b and y.b; r = b'Kb, and reduced_excess does the rest.
+    """
+    rqy = b @ kcy
+    r = (rqy[..., None, :3] @ b[..., None])[..., 0, 0]
+    return reduced_excess(r, rqy[..., 3], rqy[..., 4], p)
+
+
+def _newton_ascent(kcy, p, b, h):
     """The fast path's polish: _lockstep_newton of g on the sphere from each row of ``b``.
 
     ``kcy`` and ``p`` are as _scaled_data returns them, and ``h`` is g - 1
-    at the rows of ``b``, as reduced_over_a_monomials with ``coef``
-    evaluates it. Returns the final b, h and each row's number of steps.
+    at the rows of ``b``. Trial values come from [K | c | y] (_trial_excess),
+    not from monomials. Returns the final b, h and each row's step count.
     """
 
     def terms(sel, b):
         frame, grad, hess = _tangent_terms(kcy[sel], p[sel], b)
         return frame, grad, hess, np.hypot(grad[:, 0], grad[:, 1])
 
-    def value(sel, trial):
-        return reduced_over_a_monomials(coef[sel], p[sel, None], direction_monomials(trial))
-
-    return _lockstep_newton(b, h, terms, value, _tangent_step)
+    return _lockstep_newton(b, h, terms, lambda sel, trial: _trial_excess(kcy[sel], p[sel, None], trial), _tangent_step)
 
 
 def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
@@ -468,7 +471,7 @@ def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
         node = int(values.argmax())
         node = int((values[: node + 1] >= _near_top(values[node])).argmax())  # the first near-tied node
         start[k], h[k] = mono[6:, node], values[node]
-    b, h, _ = _newton_ascent(kcy, p, coef, start, h)
+    b, h, _ = _newton_ascent(kcy, p, start, h)
     f_max = _f_max(h, e)
     a = rank2_top(np.concatenate([x[:, None, :], (t @ b[:, :, None]).swapaxes(1, 2)], axis=1))[1]
     ab = _orient(np.concatenate([a[:, None, :], b[:, None, :]], axis=1))
@@ -618,27 +621,20 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     """The oracle on stacked x (n, 3), y (n, 3) and T (n, 3, 3), as one batch: 4-angle grid, then Newton on f.
 
     The data are first scaled by _exact_scaling, as the fast path's are.
-    a and b both run over _direction_grid's 873 nodes, a ring-scaled
-    northern hemisphere at a 5 degree step. For each
-    state, (a'Tb)^2 + (y.b)^2 = b'(uu' + yy')b with u = T'a is a quadratic
-    form in b, at most the top eigenvalue of uu' + yy', so (x.a)^2 plus
-    that eigenvalue bounds a's row of f - 1 (_oracle_bounds). The rows are
-    visited by descending bound, _ORACLE_FIRST_BLOCK first and then up to
-    _ORACLE_BLOCK at a time: each row gets its 6 pair weights
-    (_pair_weights), one matmul of those with the grid's pair monomials
-    fills one reused buffer with the form at every grid b, and a row max
-    plus (x.a)^2 is the row's value. The visit stops once every row left
-    has a bound below the best value less _ORACLE_BOUND_MARGIN, so the
-    rows not visited cannot reach the best, and the first best row is the
-    one the full grid gives, bit for bit. The best row's values are then
-    recomputed in the direct form (a'Tb)^2 + (y.b)^2; the start pair is
-    the first best row and that row's first best column, and its f - 1
-    the direct form's.
-    _oracle_newton polishes all states' pairs in lockstep on both spheres
-    at once. No step uses the analytic a-reduction. Returns f_max (n,),
-    a_star (n, 3) and b_star (n, 3), both oriented by _orient; row k is bit
-    for bit what a batch of state k alone returns. Raises
-    NonFiniteResultError if an f_max overflows float64.
+    a and b both run over _direction_grid's 873 nodes. The a-rows are
+    visited by descending _oracle_bounds, _ORACLE_FIRST_BLOCK first and then
+    up to _ORACLE_BLOCK at a time: each block is one matmul of its rows'
+    _pair_weights with the grid's pair monomials into one reused buffer,
+    and a row max plus (x.a)^2 is each row's value. The visit stops once
+    every row left has a bound below the best value less
+    _ORACLE_BOUND_MARGIN, so the first best row is the full grid's, bit for
+    bit. That row is recomputed in the direct form (a'Tb)^2 + (y.b)^2, and
+    the pair of it and its first best column, with that f - 1, starts
+    _oracle_newton, which polishes all states in lockstep on both spheres.
+    No step uses the analytic a-reduction. Returns f_max (n,), a_star (n, 3)
+    and b_star (n, 3), both oriented by _orient; row k is bit for bit what a
+    batch of state k alone returns. Raises NonFiniteResultError if an f_max
+    overflows float64.
     """
     e, x, y, t = _exact_scaling(x, y, t)
     grid, pairs = _direction_grid()

@@ -204,6 +204,19 @@ def test_overflowing_data_is_validation_error(tmp_path, capsys, command):
     assert "too large" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["compute", "oracle"])
+def test_overflowing_bloch_data_names_no_state_index(tmp_path, capsys, command):
+    # rho03 = rho30 = 1e308 on a Werner state: T11 = 2 Re(rho03 + rho12) overflows to inf
+    data = json.loads(state_to_json(generate_state(StateFamilySpec("werner", {"p": 0.5}))))
+    data["matrix"][0][3] = data["matrix"][3][0] = [1e308, 0.0]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main([command, str(path), "--allow-nonphysical"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: T must be finite"
+
+
 def test_oracle_on_large_nonphysical_data(tmp_path, capsys):
     # the oracle scales its data too: 8e300 with no overflow warning, and exit 2 where f_max overflows
     code, out = run_cli(["compute", write_large_coherence(tmp_path, 1e150), "--method", "oracle",

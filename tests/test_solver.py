@@ -33,8 +33,9 @@ from ggqd import (
     validate_density,
 )
 import ggqd.solver as solver_mod
-from ggqd.objective import objective_rows, rank2_lambda_max
+from ggqd.objective import objective_rows, rank2_lambda_max, reduced_over_a_monomials, reduction_coefficients
 from ggqd.solver import (
+    _NEWTON_GRAD_TOL,
     _NEWTON_MAX_ITERATIONS,
     _bloch_stack,
     _derivatives,
@@ -47,6 +48,7 @@ from ggqd.solver import (
     _scaled_data,
     _tangent_frame,
     _tangent_terms,
+    _trial_excess,
     ggqd_bloch,
 )
 
@@ -496,8 +498,9 @@ def test_derivatives_match_central_differences():
         def g_ext(v):
             return 1.0 + (sc.y @ v) ** 2 + rank2_lambda_max(sc.x, sc.T @ v)[0]
 
-        frame, grad_f, hess_f = _derivatives(kcy, p, b[None])
-        frame, grad, hess = frame[0], frame[0].T @ grad_f[0], frame[0].T @ hess_f[0] @ frame[0]
+        # the gradient in the frame's coordinates, and the Hessian's block on the frame's two tangent rows
+        frame, grad_f, hess_t = _derivatives(kcy, p, b[None])
+        frame, grad = frame[0], frame[0].T @ grad_f[0]
         assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-14, rtol=0.0)
         assert np.allclose(frame[0], b, atol=0.0, rtol=0.0)
         step, eye = 1e-5, np.eye(3)
@@ -512,7 +515,7 @@ def test_derivatives_match_central_differences():
             ]
             for u in eye
         ]
-        assert np.allclose(hess, fd_hess, atol=1e-5, rtol=0.0)
+        assert np.allclose(hess_t[0], frame[1:] @ np.array(fd_hess) @ frame[1:].T, atol=1e-5, rtol=0.0)
 
         # tangent terms against geodesic differences of reduced_over_a itself
         _, tgrad, thess = _tangent_terms(kcy, p, b[None])
@@ -550,7 +553,7 @@ def test_newton_polish_optimality_evidence(monkeypatch):
     assert np.hypot(tgrad[:, 0], tgrad[:, 1]).max() <= 1e-8
     assert np.linalg.eigvalsh(thess).max() <= 1e-8
 
-    monkeypatch.setattr(solver_mod, "_newton_ascent", lambda kcy, p, coef, b, h: (b, h, None))
+    monkeypatch.setattr(solver_mod, "_newton_ascent", lambda kcy, p, b, h: (b, h, None))
     assert (f_max >= _maximize_many(*stacked(corrs))[0]).all()
 
 
@@ -562,6 +565,47 @@ def test_newton_polish_takes_the_last_unseen_step(seed):
     e, kcy, p = _scaled_data(*data)
     _, tgrad, _ = _tangent_terms(kcy, p, _maximize_many(*data)[2])
     assert np.hypot(*np.ldexp(tgrad[0], 2 * e[0])) <= 1e-10
+
+
+def test_newton_polish_reaches_the_gradient_tolerance():
+    # every state's final tangent gradient, in _exact_scaling's units, is within the stopping tolerance
+    data = stacked([pauli_decompose(random_state(seed)) for seed in range(2000)])
+    _, kcy, p = _scaled_data(*data)
+    _, tgrad, _ = _tangent_terms(kcy, p, _maximize_many(*data)[2])
+    assert np.hypot(tgrad[:, 0], tgrad[:, 1]).max() <= _NEWTON_GRAD_TOL
+
+
+def test_grid_and_polish_evaluate_the_same_values():
+    # the grid's coef @ mono route and the polish's b @ [K | c | y] route feed one formula
+    corrs = [pauli_decompose(random_state(seed)) for seed in range(50)]
+    corrs += [corr for corr, _ in _DEGENERATE_CASE_VALUES]
+    _, kcy, p = _scaled_data(*stacked(corrs))
+    mono = _grid_monomials()
+    grid = reduced_over_a_monomials(reduction_coefficients(kcy[:, :, :3], kcy[:, :, 3], kcy[:, :, 4]), p[:, None], mono)
+    nodes = np.broadcast_to(mono[6:].T, (len(corrs),) + mono[6:].T.shape)
+    polish = _trial_excess(kcy, p[:, None], nodes)
+    assert polish.shape == grid.shape == (len(corrs), mono.shape[1])
+    assert (np.abs(polish - grid) <= 4.0 * np.spacing(np.maximum(1.0, 1.0 + grid))).all()
+
+
+def test_newton_polish_builds_no_monomials(monkeypatch):
+    corrs = [pauli_decompose(random_state(seed)) for seed in range(20)] + [bell_corr(0.5)]
+    want = _maximize_many(*stacked(corrs))  # the grid's monomials are cached from here on
+    ascent, steps = solver_mod._newton_ascent, []
+
+    def recording(*args):
+        out = ascent(*args)
+        steps.append(out[2])
+        return out
+
+    def refuse(*args):
+        raise AssertionError("the polish built direction monomials")
+
+    monkeypatch.setattr(solver_mod, "_newton_ascent", recording)
+    monkeypatch.setattr(solver_mod, "direction_monomials", refuse)
+    got = _maximize_many(*stacked(corrs))
+    assert steps[0].max() > 0
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_fast_path_runs_no_compass_search(monkeypatch):
@@ -752,8 +796,8 @@ def test_oracle_is_independent_of_the_reduction(monkeypatch):
         raise AssertionError("the oracle called the reduction")
 
     for name in ("rank2_top", "reduced_over_a_monomials", "reduction_coefficients", "direction_monomials",
-                 "_scaled_data", "_derivatives", "_tangent_terms", "_tangent_step", "_newton_ascent",
-                 "_maximize_many"):
+                 "reduced_excess", "_scaled_data", "_derivatives", "_tangent_terms", "_tangent_step",
+                 "_trial_excess", "_newton_ascent", "_maximize_many"):
         monkeypatch.setattr(solver_mod, name, refuse)
     assert [brute_force_oracle(corr) for corr in corrs] == want
     assert abs(want[1] - 2.0) <= 1e-12 and want[2] == 1.0
