@@ -21,15 +21,15 @@ f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
 
 The brute force oracle, the independent check, grids both directions on
 a coarser grid of the same ring-scaled hemispheres (_ring_angles). It
-visits the a-rows of its grid in order of an upper bound on each row's
-maximum over b, the top eigenvalue of a rank-2 form, one block at a time
-into one reused buffer (one product of per-a quadratic-form weights with
-the b-grid's pair monomials), and stops once no row left can reach the
-best value, so its best node is bit for bit the full grid's. It polishes
-f itself on the product of the two spheres from f's own gradient and
-Hessian. It never touches the a-reduction: of the grids, the two solvers
-share only the angle builder, and _lockstep_newton sees only the terms,
-values and step solve that each solver hands it.
+bounds each a-row's maximum over b by the top eigenvalue of a rank-2
+form, evaluates the rows of the largest bounds first, then every row left
+whose bound can still reach the best value, in grid order, one block at a
+time into one reused buffer (one product of per-a quadratic-form weights
+with the b-grid's pair monomials), so its best node is bit for bit the
+full grid's. It polishes f itself on the product of the two spheres from
+f's own gradient and Hessian. It never touches the a-reduction: of the
+grids, the two solvers share only the angle builder, and _lockstep_newton
+sees only the terms, values and step solve that each solver hands it.
 
 GGQD(rho) = trace_cc(corr) - f_max / 4.
 """
@@ -63,9 +63,9 @@ _ORIENT_TOL = 1e-6
 #: tangent gradient is at most _NEWTON_GRAD_TOL (in the solver's scaled
 #: units), tries each step at full length and halved up to
 #: _NEWTON_HALVINGS times, and takes at most _NEWTON_MAX_ITERATIONS steps
-#: (the fast path needs 2 to 5, the oracle 3 to 10). A Newton step no
-#: shorter than _NEWTON_LAST_STEP times the Hessian's smallest curvature
-#: must raise the objective to be taken.
+#: (on Ginibre seeds 0-1999 the fast path needs 2 to 7, the oracle 3 to 8).
+#: A Newton step no shorter than _NEWTON_LAST_STEP times the Hessian's
+#: smallest curvature must raise the objective to be taken.
 _NEWTON_GRAD_TOL = 1e-12
 _NEWTON_HALVINGS = 30
 _NEWTON_MAX_ITERATIONS = 50
@@ -76,13 +76,8 @@ _STEP_LENGTHS = 0.5 ** np.arange(_NEWTON_HALVINGS + 1)
 _EYE2 = np.eye(2)
 _NEG_ADJ = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
-#: The oracle's tangent coordinates in the frame of a pair (a, b): rows 1
-#: and 2 of a's frame, then rows 1 and 2 of b's. _PAIR_SHIFT takes
-#: ((x.a)^2, (y.b)^2, s^2) to the curvature terms (a.grad, a.grad, b.grad,
-#: b.grad) / 2 that the Riemannian Hessian loses on those coordinates.
-_PAIR_TANGENT = np.array([1, 2, 4, 5])
-_PAIR_SHIFT = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
-_EYE4 = np.eye(4)
+#: Takes (x.a, y.b, 2s), read off the oracle's frame products, to (x.a, y.b, s).
+_PAIR_COEF = np.array([1.0, 1.0, 0.5])
 _ONES3 = np.ones(3)
 
 #: Grid steps in radians. Both grids are _ring_angles' ring-scaled
@@ -102,16 +97,18 @@ _ORACLE_STEP = 0.087
 _ORACLE_PAIRS = np.array(np.triu_indices(3))
 _ORACLE_PAIR_WEIGHTS = np.where(_ORACLE_PAIRS[0] == _ORACLE_PAIRS[1], 1.0, 2.0)
 
-#: The oracle visits its grid's a-rows in order of a bound on each row's
-#: maximum, in blocks, each one K = 6 matmul into a reused buffer and one
-#: row max. The first block has _ORACLE_FIRST_BLOCK rows: on 2,000 Ginibre
-#: states (seeds 0-1999) a median of 1 row and at most 7 could reach the
-#: best, and the visit evaluated 8 rows (6,984 pairs) on every one (on an
-#: earlier 1,387-node grid, 4 or 16 rows timed the same and 2 slower). Each later block runs up to the rows that may
-#: still win, at most _ORACLE_BLOCK of them: a 64 x 873 float64 block is
+#: The oracle evaluates its grid's a-rows in blocks, each one K = 6 matmul
+#: into a reused buffer and one row max. The first block is the
+#: _ORACLE_FIRST_BLOCK rows of the largest bounds on each row's maximum,
+#: picked by a partial selection, not a sort. On 2,000 Ginibre states
+#: (seeds 0-1999) a median of 1 row and at most 7 could reach the best, and
+#: the visit evaluated 8 rows (6,984 pairs) on every one. On an earlier
+#: 1,387-node grid, 4 or 16 rows timed the same and 2 slower. Each later
+#: block takes the unvisited rows whose bound may still reach the best, in
+#: grid order, at most _ORACLE_BLOCK of them: a 64 x 873 float64 block is
 #: ~0.45 MB, which stays in L2. gemm gives each row the same bits in any
 #: block, but NumPy hands a one-row product to gemv, which rounds
-#: differently, so every block has at least 2 rows.
+#: differently, so a block of one row takes its grid neighbour along.
 _ORACLE_FIRST_BLOCK = 8
 _ORACLE_BLOCK = 64
 
@@ -515,27 +512,32 @@ def _oracle_terms(p, j, z):
     ``p`` and ``j`` are as _oracle_data returns them. On R^6, with
     X = (x, 0), Y = (0, y) and s = z'Jz / 2, f = 1 + (X.z)^2 + (Y.z)^2 + s^2
     has the gradient 2 (X.z) X + 2 (Y.z) Y + 2 s Jz and the Hessian
-    2 XX' + 2 YY' + 2 Jz (Jz)' + 2 s J. Both are taken into the frame
-    _tangent_frame(a) x _tangent_frame(b), whose rows 1, 2 (for a) and 4, 5
-    (for b) span the tangent space of S^2 x S^2 at z; there Jz has the
-    coordinates C[0] + C[3], C = F J F'. The Hessian's a-block then loses
-    (a.grad) I = 2 ((x.a)^2 + s^2) I and its b-block (b.grad) I =
-    2 ((y.b)^2 + s^2) I for the spheres' curvature.
+    2 XX' + 2 YY' + 2 Jz (Jz)' + 2 s J. Both are taken into the frame F
+    with rows (a, 0), (0, b), (a1, 0), (0, b1), (a2, 0), (0, b2), where
+    (a, a1, a2) = _tangent_frame(a) and (b, b1, b2) = _tangent_frame(b), so
+    rows 2 to 5 span the tangent space of S^2 x S^2 at z. In F the columns
+    X, Y and Jz read (x.a, 0, s) in row 0 and (0, y.b, s) in row 1. The
+    Hessian's a-rows then lose (a.grad) I = 2 ((x.a)^2 + s^2) I and its
+    b-rows (b.grad) I = 2 ((y.b)^2 + s^2) I for the spheres' curvature:
+    the gradient's first two coordinates in F.
     """
     n = len(z)
-    frames = _tangent_frame(z.reshape(2 * n, 3)).reshape(n, 2, 3, 3)
     f = np.zeros((n, 6, 6))
-    f[:, :3, :3], f[:, 3:, 3:] = frames[:, 0], frames[:, 1]
-    c = f @ j @ f.swapaxes(1, 2)
-    k = f @ p
-    s = c[:, 0, 3]
-    g = np.concatenate([k.swapaxes(1, 2), (c[:, 0] + c[:, 3])[:, None]], axis=1)  # rows X, Y and Jz in F
-    coef = np.stack([k[:, 0, 0], k[:, 3, 1], s], axis=1)  # x.a, y.b and s
-    grad = 2.0 * (coef[:, None] @ g)[:, 0, _PAIR_TANGENT]
-    hess = (g.swapaxes(1, 2) @ g + s[:, None, None] * c)[:, _PAIR_TANGENT[:, None], _PAIR_TANGENT]
-    hess -= ((coef * coef) @ _PAIR_SHIFT)[:, :, None] * _EYE4
+    # rows 2i and 2i + 1 hold row i of a's frame and of b's, each in its own three columns
+    f.reshape(n, 3, 4, 3)[:, :, ::3] = _tangent_frame(z.reshape(2 * n, 3)).reshape(n, 2, 3, 3).swapaxes(1, 2)
+    fj = f @ j
+    g = np.concatenate([f @ p, fj @ z[:, :, None]], axis=2)  # columns X, Y and Jz in F
+    coef = g[:, 0] + g[:, 1]  # (x.a, y.b, 2s)
+    coef *= _PAIR_COEF
+    grad = 2.0 * (g @ coef[:, :, None])[:, :, 0]
+    tangent = g[:, 2:]
+    hess = tangent @ tangent.swapaxes(1, 2)
+    hess += coef[:, 2, None, None] * (fj[:, 2:] @ f[:, 2:].swapaxes(1, 2))
     hess *= 2.0
-    return f[:, _PAIR_TANGENT], grad, hess
+    diagonal = hess.reshape(n, 16)
+    diagonal[:, ::10] -= grad[:, :1]  # the a-rows 0 and 2
+    diagonal[:, 5::10] -= grad[:, 1:2]  # the b-rows 1 and 3
+    return f[:, 2:], grad[:, 2:], hess
 
 
 def _oracle_step(basis, grad, hess, gnorm):
@@ -621,15 +623,17 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     """The oracle on stacked x (n, 3), y (n, 3) and T (n, 3, 3), as one batch: 4-angle grid, then Newton on f.
 
     The data are first scaled by _exact_scaling, as the fast path's are.
-    a and b both run over _direction_grid's 873 nodes. The a-rows are
-    visited by descending _oracle_bounds, _ORACLE_FIRST_BLOCK first and then
-    up to _ORACLE_BLOCK at a time: each block is one matmul of its rows'
-    _pair_weights with the grid's pair monomials into one reused buffer,
-    and a row max plus (x.a)^2 is each row's value. The visit stops once
-    every row left has a bound below the best value less
-    _ORACLE_BOUND_MARGIN, so the first best row is the full grid's, bit for
-    bit. That row is recomputed in the direct form (a'Tb)^2 + (y.b)^2, and
-    the pair of it and its first best column, with that f - 1, starts
+    a and b both run over _direction_grid's 873 nodes. The first block is
+    the _ORACLE_FIRST_BLOCK rows of the largest _oracle_bounds, found by
+    np.argpartition; each later block is the unvisited rows whose bound is
+    at least the best value so far less _ORACLE_BOUND_MARGIN, in grid
+    order, up to _ORACLE_BLOCK at a time and never fewer than 2. Each block
+    is one matmul of its rows' _pair_weights with the grid's pair monomials
+    into one reused buffer, and a row max plus (x.a)^2 is each row's value.
+    The visit stops once no unvisited row can reach the best, so the first
+    best row in grid order is the full grid's, bit for bit. That row is
+    recomputed in the direct form (a'Tb)^2 + (y.b)^2, and the pair of it
+    and its first best column, with that f - 1, starts
     _oracle_newton, which polishes all states in lockstep on both spheres.
     No step uses the analytic a-reduction. Returns f_max (n,), a_star (n, 3)
     and b_star (n, 3), both oriented by _orient; row k is bit for bit what a
@@ -643,25 +647,21 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     a, b, h = np.empty((len(x), 3)), np.empty((len(x), 3)), np.empty(len(x))
     for k in range(len(x)):
         u, xa2, bound = _oracle_bounds(grid, x[k], y[k], t[k])
-        neg = -bound
-        order = np.argsort(neg, kind="stable")  # by descending bound, ties in grid order
-        neg = neg[order]
         row_max.fill(-math.inf)
-        best, lo, hi = -math.inf, 0, _ORACLE_FIRST_BLOCK
-        while True:
-            rows = order[lo:hi]
+        best = -math.inf
+        rows = np.argpartition(bound, -_ORACLE_FIRST_BLOCK)[-_ORACLE_FIRST_BLOCK:]
+        while len(rows):
+            if len(rows) == 1:  # gemv would round this row unlike gemm: add a neighbour, visited or not
+                rows = min(rows[0], len(grid) - 2) + np.arange(2)
             f = buf[: len(rows)]
             np.matmul(_pair_weights(u[rows], y[k]), pairs, out=f)
             values = f.max(axis=1)
             values += xa2[rows]
             row_max[rows] = values
+            bound[rows] = -math.inf  # visited
             best = max(best, values.max())
-            # the rows that may reach best come first: bound >= best - margin, or -bound <= margin - best
-            stop = int(np.searchsorted(neg, _ORACLE_BOUND_MARGIN - best, side="right"))
-            if stop <= hi:
-                break
-            # the last rows of the grid may leave one; the block then starts a row early
-            lo, hi = min(hi, len(grid) - 2), min(max(stop, hi + 2), hi + _ORACLE_BLOCK)
+            # the unvisited rows that may reach best, in grid order
+            rows = np.flatnonzero(bound >= best - _ORACLE_BOUND_MARGIN)[:_ORACLE_BLOCK]
         ia = int(np.argmax(row_max))
         row = np.square(grid[ia] @ (t[k] @ grid.T))
         row += np.square(grid @ y[k])
@@ -669,14 +669,16 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
         a[k], b[k], h[k] = grid[ia], grid[ib], row[ib] + xa2[ia]
 
     a, b, h, _ = _oracle_newton(x, y, t, a, b, h)
-    return _f_max(h, e), _orient(a), _orient(b)
+    ab = _orient(np.concatenate([a[:, None, :], b[:, None, :]], axis=1))
+    return _f_max(h, e), ab[:, 0], ab[:, 1]
 
 
 def brute_force_oracle(corr: CorrelationData) -> float:
     """Independent check: a 4-angle grid of 873 x 873 hemisphere pairs at a 5 degree step, then a Newton polish of f.
 
-    A batch of one through _oracle_many, which skips the a-rows that its
-    bound shows cannot hold the grid's best pair.
+    A batch of one through _oracle_many, which evaluates the a-rows of the
+    largest bounds first and then only the rows whose bound can still hold
+    the grid's best pair.
     """
     return float(_oracle_many(corr.x[None], corr.y[None], corr.T[None])[0][0])
 

@@ -202,8 +202,20 @@ def test_oracle_row_bounds_hold_and_prune(monkeypatch):
         assert min(blocks) >= 2
         return sum(blocks)
 
-    # after a block, one row is left that may reach the best, so the next block has two rows only by the
-    # two-row minimum; no Ginibre seed below 2,000 gets past its first block
+    def schedule(bound, values, margin):
+        """The visit's block sizes, replayed from every row's bound and value, and whether some block leaves one row."""
+        visited = np.zeros(len(bound), dtype=bool)
+        rows, sizes, one = np.argpartition(bound, -solver_mod._ORACLE_FIRST_BLOCK)[-solver_mod._ORACLE_FIRST_BLOCK:], [], False
+        while len(rows):
+            if len(rows) == 1:
+                one, rows = True, min(rows[0], len(bound) - 2) + np.arange(2)
+            sizes.append(len(rows))
+            visited[rows] = True
+            rows = np.flatnonzero(~visited & (bound >= values[visited].max() - margin))[: solver_mod._ORACLE_BLOCK]
+        return sizes, one
+
+    # after a block, one unvisited row is left that may reach the best, so the next block has two rows only by
+    # the two-row minimum; no Ginibre seed below 2,000 gets past its first block
     corrs = [pauli_decompose(random_state(seed)) for seed in [*range(50), 2763, 4056, 8601]]
     corrs += [corr for corr, _ in _DEGENERATE_CASE_VALUES]
     # cases where the rank-2 top eigenvalue bound is tight or degenerate
@@ -231,10 +243,9 @@ def test_oracle_row_bounds_hold_and_prune(monkeypatch):
         u, xa2, bound = solver_mod._oracle_bounds(bs, x, y, t)
         values = (weights(u, y) @ pairs).max(axis=1) + xa2
         assert (values <= bound + margin).all()
-        order = np.argsort(-bound, kind="stable")
-        ends = np.cumsum(blocks)[:-1]
-        leaves_one += any(np.count_nonzero(bound[order[hi:]] >= values[order[:hi]].max() - margin) == 1
-                          for hi in ends)
+        sizes, one = schedule(bound, values, margin)
+        assert sizes == blocks
+        leaves_one += one
     assert leaves_one
 
     assert rows_evaluated(pauli_decompose(random_state(3))) < len(bs)
@@ -247,8 +258,9 @@ def test_oracle_row_bounds_hold_and_prune(monkeypatch):
 
 
 def test_oracle_last_block_keeps_two_rows(monkeypatch):
-    # Werner p = 1 visits every row in full blocks after the first, so a first block that leaves all but
-    # one of the other rows to full blocks would leave a one-row last block
+    # Werner p = 1: every bound ties, so after the first block every unvisited row may reach the best and is
+    # visited in grid order, 64 at a time; a first block that leaves 64 k + 1 rows would leave one for the
+    # last block, which takes a neighbour along
     starts, blocks = [], []
     weights = solver_mod._pair_weights
     monkeypatch.setattr(solver_mod, "_pair_weights", lambda u, y: blocks.append(len(u)) or weights(u, y))
@@ -767,6 +779,15 @@ def test_oracle_newton_optimality_evidence(monkeypatch):
     _, grad, hess = _oracle_terms(*_oracle_data(*stacked(corrs)), np.concatenate([a_star, b_star], axis=1))
     assert np.sqrt((grad * grad).sum(axis=1)).max() <= 1e-8
     assert np.linalg.eigvalsh(hess).max() <= 1e-8
+
+
+def test_oracle_polish_reaches_the_gradient_tolerance():
+    # every state's final tangent gradient on S^2 x S^2, in _exact_scaling's units, is within the stopping tolerance
+    data = stacked([pauli_decompose(random_state(seed)) for seed in range(2000)])
+    _, a_star, b_star = solver_mod._oracle_many(*data)
+    _, grad, _ = _oracle_terms(*_oracle_data(*solver_mod._exact_scaling(*data)[1:]),
+                               np.concatenate([a_star, b_star], axis=1))
+    assert np.sqrt((grad * grad).sum(axis=1)).max() <= _NEWTON_GRAD_TOL
 
 
 @pytest.mark.parametrize("seed", [435, 484, 1067, 1414])
