@@ -10,10 +10,11 @@ hemisphere of each sphere only, on the same kind of ring-scaled grid at
 a 5 degree step (873 nodes, so 762,129 pairs). It writes
 (a'Tb)^2 + (y.b)^2, a quadratic form in b, as six weights of the
 monomials b_i b_j, and bounds each row of a by the form's top
-eigenvalue, in closed form for its rank 2. It visits the rows by
-descending bound, 8 and then up to 64 at a time with one matmul and a
-row max, and stops once no row left can reach the best, so its best
-pair is the full grid's (8 rows of 873 on each of 2,000 random states).
+eigenvalue, in closed form for its rank 2. It evaluates the 8 rows of
+the largest bounds first, picked by a partial selection, then the rows
+whose bound can still reach the best, in grid order, up to 64 at a time
+with one matmul and a row max, so its best pair is the full grid's
+(8 rows of 873 on each of 2,000 random states).
 It polishes that pair with a few Newton steps of f itself on both
 spheres at once.
 Agreement on random states is the strongest correctness evidence the

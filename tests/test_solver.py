@@ -204,8 +204,8 @@ def test_oracle_row_bounds_hold_and_prune(monkeypatch):
 
     def schedule(bound, values, margin):
         """The visit's block sizes, replayed from every row's bound and value, and whether some block leaves one row."""
-        visited = np.zeros(len(bound), dtype=bool)
-        rows, sizes, one = np.argpartition(bound, -solver_mod._ORACLE_FIRST_BLOCK)[-solver_mod._ORACLE_FIRST_BLOCK:], [], False
+        visited, first = np.zeros(len(bound), dtype=bool), solver_mod._ORACLE_FIRST_BLOCK
+        rows, sizes, one = np.argpartition(bound, -first)[-first:], [], False
         while len(rows):
             if len(rows) == 1:
                 one, rows = True, min(rows[0], len(bound) - 2) + np.arange(2)
