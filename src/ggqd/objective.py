@@ -128,28 +128,14 @@ def reduced_over_a(corr: CorrelationData, b) -> tuple[float, np.ndarray]:
 _PAIR_I, _PAIR_J = np.triu_indices(3)
 
 
-def direction_monomials(b: np.ndarray) -> np.ndarray:
-    """The nine monomials b_i b_j (i <= j) and b_i of each direction.
-
-    ``b`` holds directions along its last axis, shape (..., m, 3); the result
-    is a new C-contiguous array of shape (..., 9, m), one column per
-    direction, written row by row without temporaries.
-    """
-    b = np.asarray(b, dtype=float)
-    mono = np.empty(b.shape[:-2] + (9, b.shape[-2]))
-    for row, (i, j) in enumerate(zip(_PAIR_I, _PAIR_J)):
-        np.multiply(b[..., i], b[..., j], out=mono[..., row, :])
-    mono[..., 6:, :] = np.swapaxes(b, -1, -2)
-    return mono
-
-
 def reduction_coefficients(ttt: np.ndarray, ttx: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The (..., 3, 9) matrices C whose product with direction_monomials(b) is (r, q, y.b).
+    """The (..., 3, 9) matrices C whose product with the monomials of b is (r, q, y.b).
 
     ``ttt`` is T'T, shape (..., 3, 3), and ``ttx`` is T'x and ``y`` the
-    second Bloch vector, shape (..., 3). r = |Tb|^2 = b'(T'T)b and
-    q = (Tb).x = (T'x).b are the inputs of the rank-2 eigenvalue formula in
-    reduced_excess.
+    second Bloch vector, shape (..., 3). The monomials of b are the six
+    b_i b_j (i <= j, in triu_indices order) and the three b_i, one column
+    per direction. r = |Tb|^2 = b'(T'T)b and q = (Tb).x = (T'x).b are the
+    inputs of the rank-2 eigenvalue formula in reduced_excess.
     """
     c = np.zeros(ttt.shape[:-2] + (3, 9))
     c[..., 0, :6] = ttt[..., _PAIR_I, _PAIR_J] * np.where(_PAIR_I == _PAIR_J, 1.0, 2.0)
@@ -186,7 +172,8 @@ def reduced_over_a_monomials(coef: np.ndarray, p, mono: np.ndarray) -> np.ndarra
     """g(b) - 1 at every monomial column: reduced_excess on the rows (r, q, y.b) of coef @ mono, in place.
 
     ``coef`` is reduction_coefficients of the data (..., 3, 9), ``p`` is |x|^2 (broadcast against the
-    columns) and ``mono`` is direction_monomials(b) (..., 9, m); the result has shape (..., m).
+    columns) and ``mono`` (..., 9, m) holds the monomials of m directions b that reduction_coefficients
+    names, as the solver's cached grid does; the result has shape (..., m).
     """
     rqy = coef @ mono
     return reduced_excess(rqy[..., 0, :], rqy[..., 1, :], rqy[..., 2, :], p)

@@ -9,9 +9,9 @@ Newton ascent that steps all states in lockstep, each on its own, so a
 state's result does not depend on its batch. ggqd_bloch hands both
 solvers at most _CHUNK states at a time.
 
-The fast path evaluates the exact a-reduction g(b) = max_a f(a, b) on a
-b-grid as one product of its 3 x 9 coefficients with the grid's cached
-monomials. It polishes g on the sphere from the closed-form tangent
+The fast path evaluates the exact a-reduction g(b) = max_a f(a, b) on the
+shared grid as one product of its 3 x 9 coefficients with the grid's
+cached monomials. It polishes g on the sphere from the closed-form tangent
 gradient and 2 x 2 Hessian of the rank-2 eigenvalue, taking each trial
 value from one product of the trial points with [T'T | T'x | y]; both
 routes end in the one eigenvalue formula, reduced_excess. Every exact
@@ -20,16 +20,16 @@ states (T diagonal, x and y along e3) it meets the paper's closed form
 f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
 
 The brute force oracle, the independent check, grids both directions on
-a coarser grid of the same ring-scaled hemispheres (_ring_angles). It
-bounds each a-row's maximum over b by the top eigenvalue of a rank-2
-form, evaluates the rows of the largest bounds first, then every row left
-whose bound can still reach the best value, in grid order, one block at a
-time into one reused buffer (one product of per-a quadratic-form weights
-with the b-grid's pair monomials), so its best node is bit for bit the
-full grid's. It polishes f itself on the product of the two spheres from
-f's own gradient and Hessian. It never touches the a-reduction: of the
-grids, the two solvers share only the angle builder, and _lockstep_newton
-sees only the terms, values and step solve that each solver hands it.
+the same cached grid. It bounds each a-row's maximum over b by the top
+eigenvalue of a rank-2 form, evaluates the rows of the largest bounds
+first, then every row left whose bound can still reach the best value, in
+grid order, one block at a time into one reused buffer (one product of
+per-a quadratic-form weights with the grid's pair monomials), so its best
+node is bit for bit the full grid's. It polishes f itself on the product
+of the two spheres from f's own gradient and Hessian. It never touches the
+a-reduction: the two solvers share only the grid's nodes and pair
+monomials, and _lockstep_newton sees only the terms, values and step solve
+that each solver hands it.
 
 GGQD(rho) = trace_cc(corr) - f_max / 4.
 """
@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import NonFiniteResultError
 from .objective import (
-    direction_monomials,
     rank2_top,
     reduced_excess,
     reduced_over_a_monomials,
@@ -63,7 +62,8 @@ _ORIENT_TOL = 1e-6
 #: tangent gradient is at most _NEWTON_GRAD_TOL (in the solver's scaled
 #: units), tries each step at full length and halved up to
 #: _NEWTON_HALVINGS times, and takes at most _NEWTON_MAX_ITERATIONS steps
-#: (on Ginibre seeds 0-1999 the fast path needs 2 to 7, the oracle 3 to 8).
+#: (on Ginibre seeds 0-1999 the fast path needs 2 to 7 from its 873-node
+#: grid, 3.4 on average, and the oracle 3 to 8).
 #: A Newton step no shorter than _NEWTON_LAST_STEP times the Hessian's
 #: smallest curvature must raise the objective to be taken.
 _NEWTON_GRAD_TOL = 1e-12
@@ -80,19 +80,16 @@ _NEG_ADJ = np.array([[-1.0, 1.0], [1.0, -1.0]])
 _PAIR_COEF = np.array([1.0, 1.0, 0.5])
 _ONES3 = np.ones(3)
 
-#: Grid steps in radians. Both grids are _ring_angles' ring-scaled
-#: northern hemispheres: f is even in a and in b, and so is g, so every
-#: direction's antipode lies in that hemisphere and the resolution is that
-#: of the full sphere. The fast path's 2 degree b-grid has 5,170 nodes and
-#: a covering radius of 1.40 degrees (each node counted with its antipode);
-#: its first best node is the start of the Newton polish. The oracle's
-#: 5 degree grid has 873 nodes per direction, 762,129 pairs, and a covering
-#: radius of 3.50 degrees; its best node is the start of the oracle's
-#: Newton polish.
-_B_GRID_STEP = 0.035
-_ORACLE_STEP = 0.087
+#: The grid step in radians. Both solvers run over one grid, _ring_angles'
+#: ring-scaled northern hemisphere at this step: f is even in a and in b,
+#: and so is g, so every direction's antipode lies in that hemisphere and
+#: the resolution is that of the full sphere. Its 873 nodes have a covering
+#: radius of 3.50 degrees (each node counted with its antipode). The fast
+#: path's first best node of g on it starts the Newton polish of g, and the
+#: oracle's best of its 762,129 pairs starts the Newton polish of f.
+_GRID_STEP = 0.087
 
-#: The index pairs (i, j), i <= j, of the oracle's pair monomials b_i b_j,
+#: The index pairs (i, j), i <= j, of the grid's pair monomials b_i b_j,
 #: and the weight of each in a quadratic form: 2 off the diagonal.
 _ORACLE_PAIRS = np.array(np.triu_indices(3))
 _ORACLE_PAIR_WEIGHTS = np.where(_ORACLE_PAIRS[0] == _ORACLE_PAIRS[1], 1.0, 2.0)
@@ -192,33 +189,22 @@ def _ring_angles(step: float) -> np.ndarray:
 
 @functools.cache
 def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's grid: unit vectors (m, 3) and their pair monomials (6, m), read-only.
+    """Both solvers' grid: unit vectors (m, 3) and their monomials (9, m), read-only.
 
-    The vectors are _ring_angles' 873 nodes at _ORACLE_STEP, the same
-    ring-scaled northern hemisphere as the fast path's b-grid, coarser.
-    Row r of the monomials is b_i b_j for (i, j) = _ORACLE_PAIRS[:, r], one
-    column per vector, so a weighted sum of the rows is a quadratic form in
-    b. Built on first use and shared.
+    The vectors are _ring_angles' 873 nodes at _GRID_STEP, kept C-contiguous.
+    The monomials have one column per vector: row r < 6 is b_i b_j for
+    (i, j) = _ORACLE_PAIRS[:, r], reduction_coefficients' order, and rows
+    6-8 are the vectors. The oracle weights rows 0-5, a contiguous view,
+    into quadratic forms in b; the fast path multiplies all nine by its
+    coefficients. Built on first use and shared.
     """
-    angles = _ring_angles(_ORACLE_STEP)
+    angles = _ring_angles(_GRID_STEP)
     bs = sphere_direction(angles[:, 0], angles[:, 1])
     i, j = _ORACLE_PAIRS
-    pairs = np.ascontiguousarray((bs[:, i] * bs[:, j]).T)
-    for arr in (bs, pairs):
+    mono = np.ascontiguousarray(np.concatenate([bs[:, i] * bs[:, j], bs], axis=1).T)
+    for arr in (bs, mono):
         arr.setflags(write=False)
-    return bs, pairs
-
-
-@functools.cache
-def _grid_monomials() -> np.ndarray:
-    """The direction_monomials (9, m) of the b-grid, read-only and built on first use.
-
-    The last three rows are the directions themselves; no separate vectors are kept.
-    """
-    angles = _ring_angles(_B_GRID_STEP)
-    mono = direction_monomials(sphere_direction(angles[:, 0], angles[:, 1]))
-    mono.setflags(write=False)
-    return mono
+    return bs, mono
 
 
 def _near_top(top: float) -> float:
@@ -451,14 +437,14 @@ def _newton_ascent(kcy, p, b, h):
 def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     """maximize_objective for stacked x (n, 3), y (n, 3) and T (n, 3, 3), as one batch.
 
-    Each state's grid is evaluated on its own, through the cached grid
+    Each state's grid is evaluated on its own, through _direction_grid's
     monomials; the Newton polishes then run in lockstep, and a_star, the
     exact top eigenvector at each final b, comes from one rank2_top call.
     Returns f_max (n,), a_star (n, 3) and b_star (n, 3), both oriented by
     _orient. Row k is bit for bit what a batch of state k alone returns.
     Raises NonFiniteResultError if an f_max overflows float64.
     """
-    mono = _grid_monomials()
+    grid, mono = _direction_grid()
     e, kcy, p = _scaled_data(x, y, t)
     coef = reduction_coefficients(kcy[:, :, :3], kcy[:, :, 3], kcy[:, :, 4])
     start = np.empty((len(x), 3))
@@ -467,7 +453,7 @@ def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
         values = reduced_over_a_monomials(coef[k], p[k], mono)
         node = int(values.argmax())
         node = int((values[: node + 1] >= _near_top(values[node])).argmax())  # the first near-tied node
-        start[k], h[k] = mono[6:, node], values[node]
+        start[k], h[k] = grid[node], values[node]
     b, h, _ = _newton_ascent(kcy, p, start, h)
     f_max = _f_max(h, e)
     a = rank2_top(np.concatenate([x[:, None, :], (t @ b[:, :, None]).swapaxes(1, 2)], axis=1))[1]
@@ -478,8 +464,8 @@ def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
 def maximize_objective(corr: CorrelationData):
     """Maximize f over both directions via the exact a-reduction: (f_max, a_star, b_star).
 
-    A batch of one through _maximize_many: a 2 degree b-hemisphere grid, a
-    Newton polish of g, and a_star the exact top eigenvector at the final b.
+    A batch of one through _maximize_many: the 5 degree, 873-node b-hemisphere
+    grid, a Newton polish of g, and a_star the exact top eigenvector at the final b.
     """
     f_max, a_star, b_star = _maximize_many(corr.x[None], corr.y[None], corr.T[None])
     return float(f_max[0]), a_star[0], b_star[0]
@@ -544,14 +530,20 @@ def _oracle_step(basis, grad, hess, gnorm):
     """The oracle's step (n, 6) from _oracle_terms' basis, gradient and Hessian, and its last-step test.
 
     Newton where the Riemannian Hessian is negative definite, from one
-    stacked eigh; elsewhere the gradient divided by the larger of the
-    Hessian's spectral radius and ``gnorm``. |w| is the top eigenvalue's.
+    stacked eigh. Elsewhere each eigencomponent of the gradient is divided
+    by the larger of -w_i and ``gnorm`` where its eigenvalue w_i < 0, and by
+    the larger of the Hessian's spectral radius and ``gnorm`` where not: a
+    modified Hessian (Nocedal & Wright, Numerical Optimization, 2006, 3.4),
+    so that on a set of maxima, where one eigenvalue is ~0 or slightly
+    positive, the negative curvature across the set still gets a Newton
+    step. |w| is the top eigenvalue's.
     """
     w, v = np.linalg.eigh(hess)
     top = w[:, -1]
     newton = top < 0.0
     bound = np.maximum(np.maximum(-w[:, 0], top), gnorm)
-    d = (grad[:, None] @ v)[:, 0] / np.where(newton[:, None], -w, bound[:, None])
+    floor = np.where(newton, 0.0, gnorm)  # max(-w, 0) is -w bit for bit on Newton rows
+    d = (grad[:, None] @ v)[:, 0] / np.where(w < 0.0, np.maximum(-w, floor[:, None]), bound[:, None])
     d = (v @ d[:, :, None])[:, :, 0]
     length = np.sqrt((d * d).sum(axis=1))
     step = (d[:, None] @ basis)[:, 0] / np.maximum(length, 1.0)[:, None]
@@ -581,8 +573,8 @@ def _oracle_newton(x, y, t, a, b, h):
 def _pair_weights(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The weights (m, 6) of the quadratic forms b'(uu' + yy')b, one per row u of ``u`` (m, 3).
 
-    Row r times _direction_grid's pair monomials is (u_r.b)^2 + (y.b)^2 at
-    every grid b.
+    Row r times _direction_grid's pair monomials, its rows 0-5, is
+    (u_r.b)^2 + (y.b)^2 at every grid b.
     """
     i, j = _ORACLE_PAIRS
     w = u[:, i] * u[:, j]
@@ -641,7 +633,8 @@ def _oracle_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     overflows float64.
     """
     e, x, y, t = _exact_scaling(x, y, t)
-    grid, pairs = _direction_grid()
+    grid, mono = _direction_grid()
+    pairs = mono[:6]  # the pair monomials: a C-contiguous view
     buf = np.empty((_ORACLE_BLOCK, len(grid)))
     row_max = np.empty(len(grid))
     a, b, h = np.empty((len(x), 3)), np.empty((len(x), 3)), np.empty(len(x))
@@ -777,7 +770,7 @@ def ggqd(rho, method: str = "fast") -> GgqdResult:
     the call is ``ggqd_many([rho], method)[0]``, a batch of one.
 
     method:
-      fast    exact a-reduction over a cached b-grid with Newton polish
+      fast    exact a-reduction over the cached 873-node b-grid with Newton polish
       oracle  4-angle brute force with a Newton polish of f only
       both    fast, cross-checked against the oracle (fills oracle_gap)
     """
