@@ -1,13 +1,13 @@
 """Cross-check the fast solver against the brute-force oracle.
 
-The fast path grids only the northern b-hemisphere (5,170 nodes on
-polar rings 2 degrees apart, each ring's nodes about 2 degrees apart),
+The fast path grids only the northern b-hemisphere (873 nodes on polar
+rings 5 degrees apart, each ring's nodes about 5 degrees apart),
 maximizes over a exactly through the rank-2 eigenvalue formula, and
 polishes the best node with a few Newton steps on the sphere;
 the oracle grinds through all four measurement angles and never touches
 the reduction. Since f is even in a and in b, it grids the northern
-hemisphere of each sphere only, on the same kind of ring-scaled grid at
-a 5 degree step (873 nodes, so 762,129 pairs). It writes
+hemisphere of each sphere only, on the same cached 873-node grid
+(762,129 pairs). It writes
 (a'Tb)^2 + (y.b)^2, a quadratic form in b, as six weights of the
 monomials b_i b_j, and bounds each row of a by the form's top
 eigenvalue, in closed form for its rank 2. It evaluates the 8 rows of
