@@ -5,6 +5,12 @@ output path, 5 oracle gap above 1e-3 times max(1, m^2), m the largest
 |entry| of x, y and T (``oracle``, and ``compute|sweep --method both``
 after the report or CSV is written). All numeric output uses 12
 significant digits and is deterministic for fixed flags and seed.
+
+``compute``, ``oracle`` and ``validate`` print one report each, a list of
+(key, value) pairs written by _report: with ``--json`` one JSON object,
+else aligned ``key = value`` lines. Floats print at 12 significant digits,
+3-vectors as lists, booleans as true/false in JSON and yes/no in text, and
+a None value is null in JSON and left out of the text.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,32 +51,19 @@ ORACLE_GAP_LIMIT = 1e-3
 CSV_HEADER = "param,ggqd,f_max,a1,a2,a3,b1,b2,b3,trace_cc,method"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter family sweep: param runs from start to stop by step."""
-
-    family: str
-    param_name: str
-    start: float
-    stop: float
-    step: float
-    method: str
-    output_path: str
-
-    def __post_init__(self):
-        for flag, value in (("--from", self.start), ("--to", self.stop), ("--step", self.step)):
-            if not math.isfinite(value):
-                raise ParameterOutOfRangeError(f"sweep {flag} {value} must be finite")
-        if self.step <= 0.0:
-            raise ParameterOutOfRangeError(f"sweep step {self.step} must be positive")
-        if self.start > self.stop:
-            raise ParameterOutOfRangeError(f"sweep start {self.start} exceeds stop {self.stop}")
-        if (self.stop - self.start) / self.step > 1e6:
-            raise ParameterOutOfRangeError("sweep would exceed 1e6 points")
-
-    def values(self) -> list[float]:
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + k * self.step for k in range(n)]
+def _sweep_values(start: float, stop: float, step: float) -> list[float]:
+    """The sweep's points start + k * step, for k = 0, 1, ... while k <= (stop - start) / step + 1e-9."""
+    for flag, value in (("--from", start), ("--to", stop), ("--step", step)):
+        if not math.isfinite(value):
+            raise ParameterOutOfRangeError(f"sweep {flag} {value} must be finite")
+    if step <= 0.0:
+        raise ParameterOutOfRangeError(f"sweep step {step} must be positive")
+    if start > stop:
+        raise ParameterOutOfRangeError(f"sweep start {start} exceeds stop {stop}")
+    if (stop - start) / step > 1e6:
+        raise ParameterOutOfRangeError("sweep would exceed 1e6 points")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + k * step for k in range(n)]
 
 
 def _gap_limit(x, y, t):
@@ -92,14 +84,31 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _vec_text(v) -> str:
-    return "[" + ", ".join(_fmt(c) for c in v) + "]"
+def _report(pairs, as_json: bool) -> None:
+    """Print (key, value) pairs as one JSON object or as aligned ``key = value`` lines.
 
+    Floats go through _round12 for JSON and _fmt for text, 3-vectors print
+    as lists, booleans as true/false or yes/no, and None is null in JSON
+    and leaves its line out of the text.
+    """
 
-def _print_kv(pairs) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        print(f"{key.ljust(width)} = {value}")
+    def shown(v):
+        if v is None or isinstance(v, str):
+            return v
+        if isinstance(v, bool):
+            return v if as_json else ("yes" if v else "no")
+        if np.ndim(v):
+            items = [shown(c) for c in v]
+            return items if as_json else "[" + ", ".join(items) + "]"
+        return _round12(v) if as_json else _fmt(v)
+
+    if as_json:
+        print(json.dumps({key: shown(v) for key, v in pairs}))
+        return
+    lines = [(key, shown(v)) for key, v in pairs if v is not None]
+    width = max(len(key) for key, _ in lines)
+    for key, text in lines:
+        print(f"{key.ljust(width)} = {text}")
 
 
 def _load_bloch(args):
@@ -120,57 +129,35 @@ def _load_bloch(args):
 def _cmd_compute(args) -> int:
     x, y, t = _load_bloch(args)
     (res,) = ggqd_bloch(x, y, t, method=args.method)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ggqd": _round12(res.ggqd),
-                    "f_max": _round12(res.f_max),
-                    "trace_cc": _round12(res.trace_cc),
-                    "a_star": [_round12(c) for c in res.a_star],
-                    "b_star": [_round12(c) for c in res.b_star],
-                    "method": res.method,
-                    "oracle_gap": None if res.oracle_gap is None else _round12(res.oracle_gap),
-                }
-            )
-        )
-    else:
-        pairs = [
-            ("ggqd", _fmt(res.ggqd)),
-            ("f_max", _fmt(res.f_max)),
-            ("trace_cc", _fmt(res.trace_cc)),
-            ("a_star", _vec_text(res.a_star)),
-            ("b_star", _vec_text(res.b_star)),
+    _report(
+        [
+            ("ggqd", res.ggqd),
+            ("f_max", res.f_max),
+            ("trace_cc", res.trace_cc),
+            ("a_star", res.a_star),
+            ("b_star", res.b_star),
             ("method", res.method),
-        ]
-        if res.oracle_gap is not None:
-            pairs.append(("oracle_gap", _fmt(res.oracle_gap)))
-        _print_kv(pairs)
+            ("oracle_gap", res.oracle_gap),
+        ],
+        args.json,
+    )
     if res.oracle_gap is not None and res.oracle_gap > _gap_limit(x, y, t)[0]:
         return EXIT_GAP
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        family=args.family,
-        param_name=args.param.lower(),
-        start=args.start,
-        stop=args.stop,
-        step=args.step,
-        method=args.method,
-        output_path=args.output,
-    )
+    param = args.param.lower()
     # Every step is stacked. The first point in parameter order that the
     # builder or the validation rejects is the one reported: the builder
     # names its first failing point, and the points before it are built and
     # validated before that failure is named.
-    values, failure = spec.values(), None
+    values, failure = _sweep_values(args.start, args.stop, args.step), None
     try:
-        mats = family_stack(spec.family, {spec.param_name: values})
+        mats = family_stack(args.family, {param: values})
     except GgqdError as exc:
         failure = values[exc.index], exc
-        mats = family_stack(spec.family, {spec.param_name: values[: exc.index]}) if exc.index else []
+        mats = family_stack(args.family, {param: values[: exc.index]}) if exc.index else []
     if len(mats):
         try:
             stack = validate_density_stack(mats, allow_nonphysical=args.allow_nonphysical)
@@ -178,13 +165,13 @@ def _cmd_sweep(args) -> int:
             failure = values[exc.index], exc
     if failure is not None:
         value, exc = failure
-        print(f"error: {spec.param_name} = {_fmt(value)}: {exc}", file=sys.stderr)
+        print(f"error: {param} = {_fmt(value)}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     x, y, t = pauli_decompose_stack(stack)
     lines = [CSV_HEADER]
     first_gap = None
-    for value, res, limit in zip(values, ggqd_bloch(x, y, t, method=spec.method), _gap_limit(x, y, t)):
+    for value, res, limit in zip(values, ggqd_bloch(x, y, t, method=args.method), _gap_limit(x, y, t)):
         if first_gap is None and res.oracle_gap is not None and res.oracle_gap > limit:
             first_gap = (value, res.oracle_gap, limit)
         a, b = res.a_star, res.b_star
@@ -206,15 +193,15 @@ def _cmd_sweep(args) -> int:
             )
         )
     try:
-        with open(spec.output_path, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        print(f"error: cannot write {spec.output_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_WRITE
     if first_gap is not None:
         value, gap, limit = first_gap
         print(
-            f"error: oracle gap {_fmt(gap)} above {limit:g} at {spec.param_name} = {_fmt(value)}",
+            f"error: oracle gap {_fmt(gap)} above {limit:g} at {param} = {_fmt(value)}",
             file=sys.stderr,
         )
         return EXIT_GAP
@@ -228,26 +215,15 @@ def _cmd_validate(args) -> int:
     # eigenvalues of the Hermitian part, so the metric is defined even off-contract
     min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
     physical = herm_dev <= HERMITICITY_TOL and trace_dev <= TRACE_TOL and min_eig >= -PSD_TOL
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "hermiticity_deviation": _round12(herm_dev),
-                    "trace_deviation": _round12(trace_dev),
-                    "min_eigenvalue": _round12(min_eig),
-                    "physical": physical,
-                }
-            )
-        )
-    else:
-        _print_kv(
-            [
-                ("hermiticity_deviation", _fmt(herm_dev)),
-                ("trace_deviation", _fmt(trace_dev)),
-                ("min_eigenvalue", _fmt(min_eig)),
-                ("physical", "yes" if physical else "no"),
-            ]
-        )
+    _report(
+        [
+            ("hermiticity_deviation", herm_dev),
+            ("trace_deviation", trace_dev),
+            ("min_eigenvalue", min_eig),
+            ("physical", physical),
+        ],
+        args.json,
+    )
     return EXIT_OK if physical else EXIT_VALIDATION
 
 
@@ -256,24 +232,7 @@ def _cmd_oracle(args) -> int:
     f_fast = ggqd_bloch(x, y, t, "fast")[0].f_max
     f_oracle = ggqd_bloch(x, y, t, "oracle")[0].f_max
     gap = abs(f_fast - f_oracle)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "f_max_fast": _round12(f_fast),
-                    "f_max_oracle": _round12(f_oracle),
-                    "gap": _round12(gap),
-                }
-            )
-        )
-    else:
-        _print_kv(
-            [
-                ("f_max_fast", _fmt(f_fast)),
-                ("f_max_oracle", _fmt(f_oracle)),
-                ("gap", _fmt(gap)),
-            ]
-        )
+    _report([("f_max_fast", f_fast), ("f_max_oracle", f_oracle), ("gap", gap)], args.json)
     return EXIT_OK if gap <= _gap_limit(x, y, t)[0] else EXIT_GAP
 
 

@@ -241,7 +241,7 @@ def _qubit_kets(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return ket
 
 
-def _bell_mixture_checks(p, seed):
+def _bell_mixture_checks(p, seed, n):
     c3 = p["c3"]
     return [(_outside(c3, -1.0, 1.0), lambda k: ParameterOutOfRangeError(
         f"bell_mixture parameter c3 = {float(c3[k])} outside [-1, 1]"))]
@@ -255,7 +255,7 @@ def _build_bell_mixture(p, seed):
     )
 
 
-def _werner_checks(p, seed):
+def _werner_checks(p, seed, n):
     w = p["p"]
     return [(_outside(w, 0.0, 1.0), lambda k: ParameterOutOfRangeError(
         f"werner parameter p = {float(w[k])} outside [0, 1]"))]
@@ -267,7 +267,7 @@ def _build_werner(p, seed):
     return w * np.outer(singlet, singlet.conj()) + (1.0 - w) * np.eye(4, dtype=complex) / 4.0
 
 
-def _classical_classical_checks(p, seed):
+def _classical_classical_checks(p, seed, n):
     return _probability_checks(p, "probability", "probabilities")
 
 
@@ -286,7 +286,7 @@ def _build_bell_phi_plus(p, seed):
     return np.outer(ket, ket.conj())[None]
 
 
-def _x_state_checks(p, seed):
+def _x_state_checks(p, seed, n):
     diagonal = {k: p[k] for k in ("rho00", "rho11", "rho22", "rho33")}
     checks = _probability_checks(diagonal, "diagonal entry", "diagonal entries")
     # PSD of the two 2x2 blocks bounds the antidiagonal coherences.
@@ -308,8 +308,8 @@ def _build_x_state(p, seed):
     return m
 
 
-def _random_checks(p, seed):
-    return [(np.array([seed is not None and seed < 0]), lambda k: ParameterOutOfRangeError(
+def _random_checks(p, seed, n):
+    return [(np.full(n, seed is not None and seed < 0), lambda k: ParameterOutOfRangeError(
         f"seed must be a non-negative integer, got {seed}"))]
 
 
@@ -322,7 +322,8 @@ def _build_random(p, seed):
 
 #: Each family's parameter defaults, its checks beyond those of
 #: _params_with_defaults (None for none) and its stacked builder. Checks
-#: and builders take the parameters (n,) and the seed; a family without
+#: take the parameters (n,), the seed and n, and give one mask entry per
+#: point; builders take the parameters and the seed. A family without
 #: parameters has one point.
 _BUILDERS = {
     "bell_mixture": ({"c3": 0.0}, _bell_mixture_checks, _build_bell_mixture),
@@ -362,7 +363,7 @@ def family_stack(family: str, parameters: dict | None = None, seed: int | None =
     if not n:
         return np.empty((0, 4, 4), dtype=complex)
     if extra_checks is not None:
-        checks += extra_checks(p, seed)
+        checks += extra_checks(p, seed, n)
     _raise_first(checks)
     return build(p, seed)
 

@@ -65,6 +65,60 @@ def test_compute_text_report(tmp_path, capsys):
     assert code2 == 0 and out2 == out
 
 
+def test_reports_are_byte_exact(tmp_path, capsys):
+    # every printed digit is exact on these states (a = b = e3, gap 0, min eigenvalue -0.125),
+    # so the bytes do not depend on BLAS rounding
+    werner = tmp_path / "werner.json"
+    save_state(werner, generate_state(StateFamilySpec("werner", {"p": 0.5})))
+    werner, bell = str(werner), write_bell(tmp_path, 0.5)
+    cases = [
+        (["compute", werner], 0,
+         "ggqd     = 0.125\n"
+         "f_max    = 1.25\n"
+         "trace_cc = 0.4375\n"
+         "a_star   = [0, 0, 1]\n"
+         "b_star   = [0, 0, 1]\n"
+         "method   = fast\n"),
+        (["compute", werner, "--json"], 0,
+         '{"ggqd": 0.125, "f_max": 1.25, "trace_cc": 0.4375, "a_star": [0.0, 0.0, 1.0], '
+         '"b_star": [0.0, 0.0, 1.0], "method": "fast", "oracle_gap": null}\n'),
+        (["compute", werner, "--method", "both"], 0,
+         "ggqd       = 0.125\n"
+         "f_max      = 1.25\n"
+         "trace_cc   = 0.4375\n"
+         "a_star     = [0, 0, 1]\n"
+         "b_star     = [0, 0, 1]\n"
+         "method     = fast\n"
+         "oracle_gap = 0\n"),
+        (["compute", werner, "--method", "both", "--json"], 0,
+         '{"ggqd": 0.125, "f_max": 1.25, "trace_cc": 0.4375, "a_star": [0.0, 0.0, 1.0], '
+         '"b_star": [0.0, 0.0, 1.0], "method": "fast", "oracle_gap": 0.0}\n'),
+        (["oracle", werner], 0,
+         "f_max_fast   = 1.25\n"
+         "f_max_oracle = 1.25\n"
+         "gap          = 0\n"),
+        (["oracle", werner, "--json"], 0, '{"f_max_fast": 1.25, "f_max_oracle": 1.25, "gap": 0.0}\n'),
+        (["validate", werner], 0,
+         "hermiticity_deviation = 0\n"
+         "trace_deviation       = 0\n"
+         "min_eigenvalue        = 0.125\n"
+         "physical              = yes\n"),
+        (["validate", werner, "--json"], 0,
+         '{"hermiticity_deviation": 0.0, "trace_deviation": 0.0, "min_eigenvalue": 0.125, "physical": true}\n'),
+        (["validate", bell], 2,
+         "hermiticity_deviation = 0\n"
+         "trace_deviation       = 0\n"
+         "min_eigenvalue        = -0.125\n"
+         "physical              = no\n"),
+        (["validate", bell, "--json"], 2,
+         '{"hermiticity_deviation": 0.0, "trace_deviation": 0.0, "min_eigenvalue": -0.125, "physical": false}\n'),
+    ]
+    for args, code, out in cases:
+        got = main(args)
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (code, out, ""), args
+
+
 def test_compute_rejects_nonphysical_without_flag(tmp_path, capsys):
     code, _ = run_cli(["compute", write_bell(tmp_path, 0.5)], capsys)
     assert code == 2
@@ -435,6 +489,7 @@ def test_sweep_names_first_failing_point(tmp_path, capsys, start, stop, named, m
         ("x-state", "rho03", "0", "0.5", "0.1", "rho03 = 0.3:", "|rho03| = 0.30000000000000004 exceeds"),
         ("classical-classical", "p00", "0.25", "0.5", "0.25", "p00 = 0.5:", "probabilities sum to 1.25"),
         ("pure-product", "theta", "0", "1", "0.5", "theta = 0:", "unknown parameter 'theta'"),
+        ("random", "seed", "0", "2", "1", "seed = 0:", "unknown parameter 'seed'"),
     ],
 )
 def test_sweep_names_the_builders_first_failing_point(tmp_path, capsys, family, param, start, stop, step,

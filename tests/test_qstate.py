@@ -494,6 +494,7 @@ def test_family_stack_of_one_point(family, params):
     ("random", {"seed": 3}, 0, "unknown parameter 'seed' for family 'random'"),
     ("nope", {"p": [0.1, 0.2]}, 0, "unknown family 'nope'"),
     ("x_state", {"rho00": [0.25, 0.5]}, 1, "diagonal entries sum to 1.25, |sum - 1| > 1e-09"),
+    ("random", {"seed": [3, 4]}, 0, "unknown parameter 'seed' for family 'random'"),
 ])
 def test_family_stack_raises_for_the_first_failing_point(family, params, where, message):
     # the first failing point raises what family_matrix raises for it alone, with its position as index
