@@ -9,8 +9,9 @@ significant digits and is deterministic for fixed flags and seed.
 ``compute``, ``oracle`` and ``validate`` print one report each, a list of
 (key, value) pairs written by _report: with ``--json`` one JSON object,
 else aligned ``key = value`` lines. Floats print at 12 significant digits,
-3-vectors as lists, booleans as true/false in JSON and yes/no in text, and
-a None value is null in JSON and left out of the text.
+and a non-finite one as inf, -inf or nan (a JSON string, so the JSON is
+strict); 3-vectors print as lists, booleans as true/false in JSON and
+yes/no in text, and a None value is null in JSON and left out of the text.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def _report(pairs, as_json: bool) -> None:
 
     Floats go through _round12 for JSON and _fmt for text, 3-vectors print
     as lists, booleans as true/false or yes/no, and None is null in JSON
-    and leaves its line out of the text.
+    and leaves its line out of the text. A non-finite float prints as in
+    the text, inf, -inf or nan, a string in JSON, so the JSON stays strict.
     """
 
     def shown(v):
@@ -100,10 +102,10 @@ def _report(pairs, as_json: bool) -> None:
         if np.ndim(v):
             items = [shown(c) for c in v]
             return items if as_json else "[" + ", ".join(items) + "]"
-        return _round12(v) if as_json else _fmt(v)
+        return _round12(v) if as_json and math.isfinite(v) else _fmt(v)
 
     if as_json:
-        print(json.dumps({key: shown(v) for key, v in pairs}))
+        print(json.dumps({key: shown(v) for key, v in pairs}, allow_nan=False))
         return
     lines = [(key, shown(v)) for key, v in pairs if v is not None]
     width = max(len(key) for key, _ in lines)
@@ -210,10 +212,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     m = read_state_matrix(args.input)
-    herm_dev = float(np.abs(m - m.conj().T).max())
-    trace_dev = float(abs(m.trace() - 1.0))
-    # eigenvalues of the Hermitian part, so the metric is defined even off-contract
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+    with np.errstate(over="ignore"):  # a deviation beyond float64 reads inf and fails its check
+        herm_dev = float(np.abs(m - m.conj().T).max())
+        trace_dev = float(abs(m.trace() - 1.0))
+    # eigenvalues of the Hermitian part, so the metric is defined even off-contract; halving each
+    # term first is exact, so no finite entries overflow
+    min_eig = float(np.linalg.eigvalsh(0.5 * m + 0.5 * m.conj().T)[0])
     physical = herm_dev <= HERMITICITY_TOL and trace_dev <= TRACE_TOL and min_eig >= -PSD_TOL
     _report(
         [

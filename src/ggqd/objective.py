@@ -10,6 +10,12 @@ discord functional. For fixed b the a-dependence is the quadratic form of
 x x' + (Tb)(Tb)', a symmetric matrix of rank at most 2 whose top eigenvalue
 and eigenvector are available in closed form; that makes the maximization
 over a exact and leaves only b to search.
+
+This module holds the public single-state API (objective_f,
+objective_rows, reduced_over_a and rank2_lambda_max) and rank2_top, the
+stacked eigenpair that both gives a_star in the solver and serves the
+public calls. The solver evaluates g on many directions at once in its own
+_reduced_excess.
 """
 
 from __future__ import annotations
@@ -122,58 +128,3 @@ def reduced_over_a(corr: CorrelationData, b) -> tuple[float, np.ndarray]:
     yb = float(corr.y @ b)
     lam, a = rank2_lambda_max(corr.x, corr.T @ b)
     return 1.0 + yb * yb + lam, a
-
-
-#: (i, j) index pairs with i <= j: the six distinct monomials b_i b_j
-_PAIR_I, _PAIR_J = np.triu_indices(3)
-
-
-def reduction_coefficients(ttt: np.ndarray, ttx: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The (..., 3, 9) matrices C whose product with the monomials of b is (r, q, y.b).
-
-    ``ttt`` is T'T, shape (..., 3, 3), and ``ttx`` is T'x and ``y`` the
-    second Bloch vector, shape (..., 3). The monomials of b are the six
-    b_i b_j (i <= j, in triu_indices order) and the three b_i, one column
-    per direction. r = |Tb|^2 = b'(T'T)b and q = (Tb).x = (T'x).b are the
-    inputs of the rank-2 eigenvalue formula in reduced_excess.
-    """
-    c = np.zeros(ttt.shape[:-2] + (3, 9))
-    c[..., 0, :6] = ttt[..., _PAIR_I, _PAIR_J] * np.where(_PAIR_I == _PAIR_J, 1.0, 2.0)
-    c[..., 1, 6:] = ttx
-    c[..., 2, 6:] = y
-    return c
-
-
-def reduced_excess(r, q, yb, p):
-    """g(b) - 1 = (y.b)^2 + lambda_max from r = |Tb|^2, q = (Tb).x, y.b and p = |x|^2, in place.
-
-    ``r``, ``q`` and ``yb`` are writable arrays of one shape, which ``p``
-    broadcasts against; all three are overwritten and the result is ``yb``.
-    lambda_max = (p + r + sqrt((p - r)^2 + 4 q^2)) / 2 is the top eigenvalue
-    of x x' + (Tb)(Tb)'. The b-grid and the fast path's polish share this one
-    copy. It makes one temporary where the plain expression makes ten, whose
-    page faults cost up to twice the arithmetic on large grids.
-    """
-    d = p - r
-    d *= d
-    q *= q
-    q *= 4.0  # exact, so 4 q q rounds as (4 q) q does
-    d += q
-    np.sqrt(d, out=d)
-    r += p
-    r += d
-    r *= 0.5  # lambda_max
-    yb *= yb
-    yb += r
-    return yb
-
-
-def reduced_over_a_monomials(coef: np.ndarray, p, mono: np.ndarray) -> np.ndarray:
-    """g(b) - 1 at every monomial column: reduced_excess on the rows (r, q, y.b) of coef @ mono, in place.
-
-    ``coef`` is reduction_coefficients of the data (..., 3, 9), ``p`` is |x|^2 (broadcast against the
-    columns) and ``mono`` (..., 9, m) holds the monomials of m directions b that reduction_coefficients
-    names, as the solver's cached grid does; the result has shape (..., m).
-    """
-    rqy = coef @ mono
-    return reduced_excess(rqy[..., 0, :], rqy[..., 1, :], rqy[..., 2, :], p)

@@ -9,14 +9,14 @@ Newton ascent that steps all states in lockstep, each on its own, so a
 state's result does not depend on its batch. ggqd_bloch hands both
 solvers at most _CHUNK states at a time.
 
-The fast path evaluates the exact a-reduction g(b) = max_a f(a, b) on the
-shared grid as one product of its 3 x 9 coefficients with the grid's
-cached monomials. It polishes g on the sphere from the closed-form tangent
-gradient and 2 x 2 Hessian of the rank-2 eigenvalue, taking each trial
-value from one product of the trial points with [T'T | T'x | y]; both
-routes end in the one eigenvalue formula, reduced_excess. Every exact
-a-maximizer and trace_cc then come from stacked array operations. On X
-states (T diagonal, x and y along e3) it meets the paper's closed form
+The fast path evaluates the exact a-reduction g(b) = max_a f(a, b) by one
+route, _reduced_excess: one product of the rows [T'T | T'x | y]' with the
+directions b as columns, then the rank-2 eigenvalue formula in place. It
+takes g at the shared grid's nodes, then polishes g on the sphere from the
+closed-form tangent gradient and 2 x 2 Hessian of the rank-2 eigenvalue,
+taking each trial value from the same route. Every exact a-maximizer and
+trace_cc then come from stacked array operations. On X states (T
+diagonal, x and y along e3) it meets the paper's closed form
 f_max = 1 + max(x3^2 + y3^2 + T33^2, T11^2, T22^2), which the tests assert.
 
 The brute force oracle, the independent check, grids both directions on
@@ -43,13 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteResultError
-from .objective import (
-    rank2_top,
-    reduced_excess,
-    reduced_over_a_monomials,
-    reduction_coefficients,
-    sphere_direction,
-)
+from .objective import rank2_top, sphere_direction
 from .pauli import CorrelationData, pauli_decompose_stack, trace_cc_stack
 from .qstate import DensityMatrix, validate_density
 
@@ -136,6 +130,13 @@ _ORACLE_BOUND_MARGIN = 1e-12
 #: need ~7 GB at once.
 _CHUNK = 1024
 
+#: The fast path evaluates its grid for this many states at a time, so
+#: each NumPy call's fixed cost is shared by 8 states. On the 1001 Werner
+#: points (2-core Xeon), 4 states and one state at a time timed slower.
+#: 16 timed ~4% faster, but its 0.56 MB product raised a sweep process's
+#: peak RSS by ~0.4 MB, where 8 (0.28 MB) left it as it was.
+_GRID_BLOCK = 8
+
 
 @dataclass(frozen=True, slots=True)
 class GgqdResult:
@@ -193,10 +194,10 @@ def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
 
     The vectors are _ring_angles' 873 nodes at _GRID_STEP, kept C-contiguous.
     The monomials have one column per vector: row r < 6 is b_i b_j for
-    (i, j) = _ORACLE_PAIRS[:, r], reduction_coefficients' order, and rows
-    6-8 are the vectors. The oracle weights rows 0-5, a contiguous view,
-    into quadratic forms in b; the fast path multiplies all nine by its
-    coefficients. Built on first use and shared.
+    (i, j) = _ORACLE_PAIRS[:, r], and rows 6-8 are the vectors. The oracle
+    weights rows 0-5, a contiguous view, into quadratic forms in b; rows
+    6-8, also a contiguous view, are the fast path's columns for
+    _reduced_excess. Built on first use and shared.
     """
     angles = _ring_angles(_GRID_STEP)
     bs = sphere_direction(angles[:, 0], angles[:, 1])
@@ -207,14 +208,14 @@ def _direction_grid() -> tuple[np.ndarray, np.ndarray]:
     return bs, mono
 
 
-def _near_top(top: float) -> float:
-    """The least grid value that ties with the grid's maximum ``top``: 8 ulps of max(top, 1) below it.
+def _near_top(top: np.ndarray) -> np.ndarray:
+    """The least grid value that ties with each grid maximum in ``top``: 8 ulps of max(top, 1) below it.
 
     On a flat or circular optimum the grid's values differ only by
     rounding, so the first node at or above this one (the pole, where it is
     optimal) starts the polish, rather than the node that rounding favours.
     """
-    return top - 8.0 * np.spacing(max(top, 1.0))
+    return top - 8.0 * np.spacing(np.maximum(top, 1.0))
 
 
 def _largest_entry(x, y, t):
@@ -409,51 +410,77 @@ def _tangent_step(frame, grad, hess, gnorm):
     return step, lambda limit: newton & (length * (h11 + h22) >= -limit * det)
 
 
-def _trial_excess(kcy: np.ndarray, p, b: np.ndarray) -> np.ndarray:
-    """g(b) - 1 at unit rows of ``b`` (n, m, 3), state k's on kcy[k] (n, 3, 5) and p[k] (broadcast to (n, m)).
+def _reduced_excess(rows: np.ndarray, p, b: np.ndarray) -> np.ndarray:
+    """g(b) - 1 at unit columns of ``b`` (..., 3, m), from the rows [K | c | y]' (..., 5, 3) and p = |x|^2.
 
-    One product with [K | c | y] gives Kb, c.b and y.b; r = b'Kb, and reduced_excess does the rest.
+    ``p`` broadcasts against (..., m). One product gives the rows Kb, c.b
+    and y.b, and r = b'Kb is the first three times b, summed. With
+    q = c.b = (Tb).x, lambda_max = (p + r + sqrt((p - r)^2 + 4 q^2)) / 2 is
+    the top eigenvalue of x x' + (Tb)(Tb)', and g - 1 = (y.b)^2 + lambda_max
+    is formed in place in the product's rows: one temporary where the plain
+    expression makes ten, whose page faults cost up to twice the arithmetic
+    on large grids. The b-grid and the Newton trials both take g from here.
     """
-    rqy = b @ kcy
-    r = (rqy[..., None, :3] @ b[..., None])[..., 0, 0]
-    return reduced_excess(r, rqy[..., 3], rqy[..., 4], p)
+    rqy = rows @ b
+    kb = rqy[..., :3, :]
+    kb *= b
+    r = kb.sum(axis=-2)
+    q, yb = rqy[..., 3, :], rqy[..., 4, :]
+    d = p - r
+    d *= d
+    q *= q
+    q *= 4.0  # exact, so 4 q q rounds as (4 q) q does
+    d += q
+    np.sqrt(d, out=d)
+    r += p
+    r += d
+    r *= 0.5  # lambda_max
+    yb *= yb
+    yb += r
+    return yb
 
 
 def _newton_ascent(kcy, p, b, h):
     """The fast path's polish: _lockstep_newton of g on the sphere from each row of ``b``.
 
     ``kcy`` and ``p`` are as _scaled_data returns them, and ``h`` is g - 1
-    at the rows of ``b``. Trial values come from [K | c | y] (_trial_excess),
-    not from monomials. Returns the final b, h and each row's step count.
+    at the rows of ``b``. Trial values come from _reduced_excess, with the
+    trial points as columns. Returns the final b, h and each row's step count.
     """
 
     def terms(sel, b):
         frame, grad, hess = _tangent_terms(kcy[sel], p[sel], b)
         return frame, grad, hess, np.hypot(grad[:, 0], grad[:, 1])
 
-    return _lockstep_newton(b, h, terms, lambda sel, trial: _trial_excess(kcy[sel], p[sel, None], trial), _tangent_step)
+    def value(sel, trial):
+        return _reduced_excess(kcy[sel].swapaxes(1, 2), p[sel, None], trial.swapaxes(1, 2))
+
+    return _lockstep_newton(b, h, terms, value, _tangent_step)
 
 
 def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
     """maximize_objective for stacked x (n, 3), y (n, 3) and T (n, 3, 3), as one batch.
 
-    Each state's grid is evaluated on its own, through _direction_grid's
-    monomials; the Newton polishes then run in lockstep, and a_star, the
-    exact top eigenvector at each final b, comes from one rank2_top call.
-    Returns f_max (n,), a_star (n, 3) and b_star (n, 3), both oriented by
-    _orient. Row k is bit for bit what a batch of state k alone returns.
-    Raises NonFiniteResultError if an f_max overflows float64.
+    The grid is evaluated _GRID_BLOCK states at a time, by _reduced_excess
+    on _direction_grid's columns, and each state's first near-tied node
+    starts its polish; the Newton polishes then run in lockstep, and
+    a_star, the exact top eigenvector at each final b, comes from one
+    rank2_top call. Returns f_max (n,), a_star (n, 3) and b_star (n, 3),
+    both oriented by _orient. Row k is bit for bit what a batch of state k
+    alone returns. Raises NonFiniteResultError if an f_max overflows
+    float64.
     """
     grid, mono = _direction_grid()
+    columns = mono[6:]  # the grid's vectors as C-contiguous columns
     e, kcy, p = _scaled_data(x, y, t)
-    coef = reduction_coefficients(kcy[:, :, :3], kcy[:, :, 3], kcy[:, :, 4])
+    rows = kcy.swapaxes(1, 2)
     start = np.empty((len(x), 3))
     h = np.empty(len(x))
-    for k in range(len(x)):
-        values = reduced_over_a_monomials(coef[k], p[k], mono)
-        node = int(values.argmax())
-        node = int((values[: node + 1] >= _near_top(values[node])).argmax())  # the first near-tied node
-        start[k], h[k] = grid[node], values[node]
+    for lo in range(0, len(x), _GRID_BLOCK):
+        block = slice(lo, lo + _GRID_BLOCK)
+        values = _reduced_excess(rows[block], p[block, None], columns)
+        node = (values >= _near_top(values.max(axis=1))[:, None]).argmax(axis=1)  # each first near-tied node
+        start[block], h[block] = grid[node], values[np.arange(len(node)), node]
     b, h, _ = _newton_ascent(kcy, p, start, h)
     f_max = _f_max(h, e)
     a = rank2_top(np.concatenate([x[:, None, :], (t @ b[:, :, None]).swapaxes(1, 2)], axis=1))[1]

@@ -271,6 +271,61 @@ def test_overflowing_bloch_data_names_no_state_index(tmp_path, capsys, command):
     assert captured.err.splitlines()[-1] == "error: T must be finite"
 
 
+def strict_json(text):
+    """Parse ``text`` as strict JSON: Infinity, -Infinity and NaN are refused."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def write_werner_entries(tmp_path, entries):
+    """Werner p = 0.5 with the entries {(i, j): [re, im]} replaced, as a state file."""
+    data = json.loads(state_to_json(generate_state(StateFamilySpec("werner", {"p": 0.5}))))
+    for (i, j), value in entries.items():
+        data["matrix"][i][j] = value
+    path = tmp_path / "near_limit.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "entries,herm_dev,trace_dev,min_eig",
+    [
+        ({(0, 3): [1e308, 0.0], (3, 0): [1e308, 0.0]}, 0.0, 0.0, -1e308),
+        ({(0, 3): [1e308, 0.0], (3, 0): [-1e308, 0.0]}, "inf", 0.0, 0.125),
+        ({(0, 0): [1e308, 0.0]}, 0.0, 1e308, 0.125),
+    ],
+    ids=["hermitian-coherence", "antihermitian-coherence", "huge-diagonal"],
+)
+def test_validate_near_the_float64_limit(tmp_path, capsys, entries, herm_dev, trace_dev, min_eig):
+    # the Hermitian part, the Hermiticity deviation or the trace deviation used to overflow, with a
+    # RuntimeWarning (an error here); an overflowing deviation reads inf, "inf" in strict JSON, and fails
+    path = write_werner_entries(tmp_path, entries)
+    code = main(["validate", path, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    report = strict_json(captured.out)
+    assert report["hermiticity_deviation"] == herm_dev and report["trace_deviation"] == trace_dev
+    assert abs(report["min_eigenvalue"] / min_eig - 1.0) <= 1e-9 and report["physical"] is False
+    code = main(["validate", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    lines = dict((key.strip(), value) for key, value in (line.split(" = ") for line in captured.out.splitlines()))
+    assert lines["hermiticity_deviation"] == _fmt(float(herm_dev)) and lines["trace_deviation"] == _fmt(trace_dev)
+    assert abs(float(lines["min_eigenvalue"]) / min_eig - 1.0) <= 1e-9 and lines["physical"] == "no"
+
+
+def test_compute_names_an_overflowing_hermiticity_deviation(tmp_path, capsys):
+    # rho03 = 1e308 and rho30 = -1e308: rho03 - conj(rho30) overflows to inf, which fails the Hermiticity check
+    path = write_werner_entries(tmp_path, {(0, 3): [1e308, 0.0], (3, 0): [-1e308, 0.0]})
+    code = main(["compute", path, "--allow-nonphysical"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: maximum Hermiticity violation inf exceeds 1e-09\n"
+
+
 def test_oracle_on_large_nonphysical_data(tmp_path, capsys):
     # the oracle scales its data too: 8e300 with no overflow warning, and exit 2 where f_max overflows
     code, out = run_cli(["compute", write_large_coherence(tmp_path, 1e150), "--method", "oracle",

@@ -33,7 +33,7 @@ from ggqd import (
     validate_density,
 )
 import ggqd.solver as solver_mod
-from ggqd.objective import objective_rows, rank2_lambda_max, reduced_over_a_monomials, reduction_coefficients
+from ggqd.objective import objective_rows, rank2_lambda_max
 from ggqd.solver import (
     _NEWTON_GRAD_TOL,
     _NEWTON_MAX_ITERATIONS,
@@ -44,10 +44,10 @@ from ggqd.solver import (
     _orient,
     _oracle_data,
     _oracle_terms,
+    _reduced_excess,
     _scaled_data,
     _tangent_frame,
     _tangent_terms,
-    _trial_excess,
     ggqd_bloch,
 )
 
@@ -589,32 +589,37 @@ def test_newton_polish_reaches_the_gradient_tolerance():
     assert np.hypot(tgrad[:, 0], tgrad[:, 1]).max() <= _NEWTON_GRAD_TOL
 
 
-def test_grid_and_polish_evaluate_the_same_values():
-    # the grid's coef @ mono route and the polish's b @ [K | c | y] route feed one formula
+def test_one_route_evaluates_g_at_every_grid_node():
+    # the b-grid and the Newton trials both take g - 1 from _reduced_excess; at every grid node it meets
+    # the public reduced_over_a, scaled back by 4^e, within 4 ulps of max(1, g) (2 at most, measured)
     corrs = [pauli_decompose(random_state(seed)) for seed in range(50)]
     corrs += [corr for corr, _ in _DEGENERATE_CASE_VALUES]
-    _, kcy, p = _scaled_data(*stacked(corrs))
-    mono = _direction_grid()[1]
-    grid = reduced_over_a_monomials(reduction_coefficients(kcy[:, :, :3], kcy[:, :, 3], kcy[:, :, 4]), p[:, None], mono)
-    nodes = np.broadcast_to(mono[6:].T, (len(corrs),) + mono[6:].T.shape)
-    polish = _trial_excess(kcy, p[:, None], nodes)
-    assert polish.shape == grid.shape == (len(corrs), mono.shape[1])
-    assert (np.abs(polish - grid) <= 4.0 * np.spacing(np.maximum(1.0, 1.0 + grid))).all()
+    e, kcy, p = _scaled_data(*stacked(corrs))
+    grid, mono = _direction_grid()
+    # as _maximize_many calls it, a block of states on the grid's columns, and one state alone
+    values = _reduced_excess(kcy.swapaxes(1, 2), p[:, None], mono[6:])
+    assert all(np.array_equal(_reduced_excess(kcy[k].T, p[k], mono[6:]), values[k]) for k in range(len(corrs)))
+    # as the Newton trials call it, on C-contiguous rows of points, as columns
+    trials = np.array(np.broadcast_to(grid, (len(corrs),) + grid.shape))
+    assert np.array_equal(_reduced_excess(kcy.swapaxes(1, 2), p[:, None], trials.swapaxes(1, 2)), values)
+    excess = np.ldexp(values, 2 * e[:, None])
+    for corr, got in zip(corrs, excess):
+        want = np.array([reduced_over_a(corr, b)[0] for b in grid])
+        assert (np.abs(got - (want - 1.0)) <= 4.0 * np.spacing(np.maximum(1.0, want))).all()
 
 
-def test_newton_polish_builds_no_monomials(monkeypatch):
-    # the polish takes its trial values from [K | c | y]: it reads neither the grid nor the monomial route
+def test_newton_polish_reads_no_grid(monkeypatch):
+    # the polish takes its trial values from _reduced_excess on the trial points: it never reads the grid
     corrs = [pauli_decompose(random_state(seed)) for seed in range(20)] + [bell_corr(0.5)]
     want = _maximize_many(*stacked(corrs))
     ascent, steps = solver_mod._newton_ascent, []
 
     def refuse(*args):
-        raise AssertionError("the polish used the grid's monomials")
+        raise AssertionError("the polish read the grid")
 
     def recording(*args):
         with monkeypatch.context() as m:
-            for name in ("_direction_grid", "reduction_coefficients", "reduced_over_a_monomials"):
-                m.setattr(solver_mod, name, refuse)
+            m.setattr(solver_mod, "_direction_grid", refuse)
             out = ascent(*args)
         steps.append(out[2])
         return out
@@ -821,9 +826,8 @@ def test_oracle_is_independent_of_the_reduction(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle called the reduction")
 
-    for name in ("rank2_top", "reduced_over_a_monomials", "reduction_coefficients", "reduced_excess",
-                 "_scaled_data", "_derivatives", "_tangent_terms", "_tangent_step", "_trial_excess",
-                 "_newton_ascent", "_maximize_many"):
+    for name in ("rank2_top", "_reduced_excess", "_scaled_data", "_derivatives", "_tangent_terms",
+                 "_tangent_step", "_newton_ascent", "_maximize_many"):
         monkeypatch.setattr(solver_mod, name, refuse)
     assert [brute_force_oracle(corr) for corr in corrs] == want
     assert abs(want[1] - 2.0) <= 1e-12 and want[2] == 1.0
@@ -880,11 +884,16 @@ def results_equal(r, s):
 
 
 def test_maximize_many_matches_single_solves():
+    # tied optima too (Werner, Bell mixtures, x-states, the degenerate cases), where rounding picks the grid's start
     corrs = [pauli_decompose(random_state(seed)) for seed in range(200)]
     corrs += [
         pauli_decompose(generate_state(StateFamilySpec("werner", {"p": p})))
         for p in np.linspace(0.0, 1.0, 101)
     ]
+    corrs += [bell_corr(-1.0 + 0.05 * k) for k in range(41)]
+    rng = np.random.default_rng(2311)
+    corrs += [pauli_decompose(random_x_state(rng)) for _ in range(12)]
+    corrs += [corr for corr, _ in _DEGENERATE_CASE_VALUES]
     for k, (f_max, a_star, b_star) in enumerate(zip(*_maximize_many(*stacked(corrs)))):
         f_one, a_one, b_one = maximize_objective(corrs[k])
         assert f_max == f_one
@@ -1006,7 +1015,7 @@ def test_ggqd_many_inputs():
 
 def test_grid_caches_are_read_only():
     # one cached grid for both solvers: 873 vectors and their nine monomial rows, the six pair
-    # monomials b_i b_j in reduction_coefficients' order and then the vectors
+    # monomials b_i b_j in triu_indices order and then the vectors
     bs, mono = _direction_grid()
     angles = solver_mod._ring_angles(solver_mod._GRID_STEP)
     assert _direction_grid()[0] is bs and _direction_grid()[1] is mono
