@@ -33,6 +33,7 @@ from .qstate import (
     TRACE_TOL,
     StateFamilySpec,
     _round12,
+    density_deviations,
     family_stack,
     generate_state,
     load_state,
@@ -212,12 +213,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     m = read_state_matrix(args.input)
-    with np.errstate(over="ignore"):  # a deviation beyond float64 reads inf and fails its check
-        herm_dev = float(np.abs(m - m.conj().T).max())
-        trace_dev = float(abs(m.trace() - 1.0))
-    # eigenvalues of the Hermitian part, so the metric is defined even off-contract; halving each
-    # term first is exact, so no finite entries overflow
-    min_eig = float(np.linalg.eigvalsh(0.5 * m + 0.5 * m.conj().T)[0])
+    # the loaders' own numbers, so validate and every loader judge a matrix alike
+    herm_dev, trace_dev, min_eig = (float(v[0]) for v in density_deviations(m[None]))
     physical = herm_dev <= HERMITICITY_TOL and trace_dev <= TRACE_TOL and min_eig >= -PSD_TOL
     _report(
         [
@@ -241,17 +238,21 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
+    params, given = {}, set()
     seed, source = args.seed, "--seed"
     for token in args.params:
         name, eq, raw = token.partition("=")
         if not eq or not name:
             raise ParameterOutOfRangeError(f"expected name=value, got '{token}'")
+        key = name.lower()  # as StateFamilySpec reads names
+        if key in given:
+            raise ParameterOutOfRangeError(f"parameter '{key}' given more than once")
+        given.add(key)
         try:
-            if name.lower() == "seed":
+            if key == "seed":
                 seed, source = int(raw), f"'{token}'"
             else:
-                params[name] = float(raw)
+                params[key] = float(raw)
         except ValueError:
             raise ParameterOutOfRangeError(f"invalid numeric value for '{name}': '{raw}'") from None
     if seed is None:
@@ -339,10 +340,7 @@ def main(argv=None) -> int:
     except StateFormatError as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except GgqdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:  # raised outside GgqdError, e.g. for a non-finite matrix
+    except ValueError as exc:  # GgqdError and its kin, and e.g. a non-finite matrix
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # unreadable input; write failures return 4 in-handler

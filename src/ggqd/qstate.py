@@ -5,7 +5,9 @@ Conventions
 * Computational basis ordering |00>, |01>, |10>, |11>.
 * Physicality tolerances are fixed at 1e-9 for Hermiticity, unit trace and
   positive semidefiniteness: well above double-precision noise at 4x4 scale,
-  far below any discord signal of interest.
+  far below any discord signal of interest. Positivity is judged on the
+  Hermitian part (density_deviations), by the loaders and ``ggqd validate``
+  alike.
 * State files are JSON objects ``{"matrix": [[[re, im], ...x4], ...x4]}``,
   row-major, entries stored with 12 significant digits.
 """
@@ -42,17 +44,6 @@ PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-FAMILIES = (
-    "bell_mixture",
-    "werner",
-    "classical_classical",
-    "pure_product",
-    "bell_phi_plus",
-    "x_state",
-    "random",
-)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -115,22 +106,36 @@ def _raise_first(checks) -> None:
     raise exc
 
 
+def density_deviations(arr: np.ndarray):
+    """Each finite matrix's Hermiticity deviation, |trace - 1| and smallest eigenvalue of its Hermitian part.
+
+    ``arr`` is an (n, 4, 4) complex stack; returns three (n,) arrays. The
+    deviation is max |m - m^H|. The Hermitian part is m / 2 + m^H / 2:
+    halving first is exact, so finite entries give a finite part, and an
+    exactly Hermitian m is its own. A deviation that overflows float64
+    reads inf, which fails its check. validate_density and ``ggqd
+    validate`` both judge a matrix by these three numbers.
+    """
+    with np.errstate(over="ignore"):
+        herm_dev = np.abs(arr - arr.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        trace_dev = np.abs(arr.trace(axis1=1, axis2=2) - 1.0)
+    min_eig = np.linalg.eigvalsh(0.5 * arr + 0.5 * arr.conj().swapaxes(1, 2))[:, 0]
+    return herm_dev, trace_dev, min_eig
+
+
 def _checked_min_eigenvalues(arr: np.ndarray, allow_nonphysical: bool) -> np.ndarray:
     """Run the density-matrix checks on an (n, 4, 4) complex stack, all at once.
 
-    Returns each matrix's smallest eigenvalue (of its Hermitian part's lower
-    triangle, as eigvalsh reads it). The first matrix that fails a check
-    raises, and it raises what validate_density documents: for that matrix,
-    the first failing check in the order finite, Hermitian, unit trace,
-    positive semidefinite. Its position in the stack is the exception's
-    ``index`` attribute.
+    Returns each matrix's smallest eigenvalue, of its Hermitian part
+    (density_deviations). The first matrix that fails a check raises, and
+    it raises what validate_density documents: for that matrix, the first
+    failing check in the order finite, Hermitian, unit trace, positive
+    semidefinite. Its position in the stack is the exception's ``index``
+    attribute.
     """
     finite = np.isfinite(arr).all(axis=(1, 2))
     safe = arr if np.count_nonzero(finite) == len(arr) else np.where(finite[:, None, None], arr, 0.0)
-    with np.errstate(over="ignore"):  # a deviation beyond float64 reads inf and fails its check
-        herm_dev = np.abs(safe - safe.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        trace_dev = np.abs(safe.trace(axis1=1, axis2=2) - 1.0)
-    min_eig = np.linalg.eigvalsh(safe)[:, 0]
+    herm_dev, trace_dev, min_eig = density_deviations(safe)
     checks = [
         (~finite, lambda k: ValueError("matrix entries must be finite")),
         (herm_dev > HERMITICITY_TOL, lambda k: NonHermitianError(
@@ -337,6 +342,9 @@ _BUILDERS = {
                 _x_state_checks, _build_x_state),
     "random": ({}, _random_checks, _build_random),
 }
+
+#: The built-in state families' names, in _BUILDERS' order.
+FAMILIES = tuple(_BUILDERS)
 
 
 def family_stack(family: str, parameters: dict | None = None, seed: int | None = None) -> np.ndarray:

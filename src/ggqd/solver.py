@@ -28,8 +28,9 @@ per-a quadratic-form weights with the grid's pair monomials), so its best
 node is bit for bit the full grid's. It polishes f itself on the product
 of the two spheres from f's own gradient and Hessian. It never touches the
 a-reduction: the two solvers share only the grid's nodes and pair
-monomials, and _lockstep_newton sees only the terms, values and step solve
-that each solver hands it.
+monomials, and _lockstep_newton sees only the stacked arrays, terms,
+values and step solve that each solver hands it; it alone selects the
+active rows, takes the norms and caps and maps each step.
 
 GGQD(rho) = trace_cc(corr) - f_max / 4.
 """
@@ -314,34 +315,37 @@ def _derivatives(kcy: np.ndarray, p: np.ndarray, b: np.ndarray):
 
 
 def _tangent_terms(kcy: np.ndarray, p: np.ndarray, b: np.ndarray):
-    """The frame (n, 3, 3), tangent gradient (n, 2) and tangent Hessian (n, 2, 2) of g at rows of ``b``.
+    """The tangent basis E (n, 2, 3), gradient (n, 2) and Hessian (n, 2, 2) of g at rows of ``b``.
 
-    The Riemannian Hessian is _derivatives' block less (b.grad g) I.
+    E is the frame's tangent rows, and the Riemannian Hessian is
+    _derivatives' block less (b.grad g) I.
     """
     frame, grad, hess = _derivatives(kcy, p, b)
-    return frame, grad[:, 1:], hess - grad[:, 0, None, None] * _EYE2
+    return frame[:, 1:], grad[:, 1:], hess - grad[:, 0, None, None] * _EYE2
 
 
-def _lockstep_newton(z, h, terms, value, solve):
+def _lockstep_newton(z, h, data, terms, value, solve):
     """Safeguarded Riemannian Newton ascent from each row of ``z``, all rows in lockstep.
 
     A row of ``z`` is one unit 3-vector (the fast path's b) or several side
-    by side (the oracle's (a, b)), and ``h`` is the objective there. ``sel``
-    picks the active rows of the solver's data: a slice while every row is
-    active, so the data are views, and their indices after that.
-    terms(sel, z) gives the tangent basis, gradient and Hessian at the
-    points z, and the gradient's length. solve(basis, grad, hess, gnorm),
-    with gnorm floored at _NEWTON_GRAD_TOL, gives each ambient step, capped
-    at length 1, and a test last(limit) for Newton steps d with
-    |d| <= limit |w|, w the Hessian's eigenvalue nearest 0 (or a lower
-    bound on |w|). value(sel, trial) gives the objective at trial points.
+    by side (the oracle's (a, b)), and ``h`` is the objective there.
+    ``data`` is a tuple of the solver's stacked arrays, one row per row of
+    ``z``, and each call gets the active rows of each: the arrays
+    themselves while every row is active, fancy-indexed copies after that.
+    terms(*rows, z) gives the tangent basis (n, k, width of z), gradient
+    (n, k) and Hessian (n, k, k) at the points z, and value(*rows, trial)
+    the objective at trial points. solve(grad, hess, gnorm), with gnorm the
+    gradient's length floored at _NEWTON_GRAD_TOL, gives each tangent step
+    d (n, k) and a w (n,) that is negative exactly where d is the Newton
+    step, and there at least the Hessian's eigenvalue nearest 0.
 
-    Each trial z + t step is normalized onto its sphere(s), and the longest
-    of t = 1, 1/2, ..., 2^-_NEWTON_HALVINGS that raises h strictly is taken.
+    Each step is capped at length 1 and taken through the basis, each trial
+    z + t step is normalized onto its sphere(s), and the longest of
+    t = 1, 1/2, ..., 2^-_NEWTON_HALVINGS that raises h strictly is taken.
     A row is done once its tangent gradient is at most _NEWTON_GRAD_TOL, or
     no t raises h: near a tangent gradient of 1e-8 a Newton step gains
     ~1e-16, the rounding of h. Such a row still takes its Newton step,
-    unseen and as its last one, if last(_NEWTON_LAST_STEP) holds (tested
+    unseen and as its last one, if |d| <= _NEWTON_LAST_STEP |w| (tested
     only on iterations where some row is done that way): the step gains at
     least |w| |d|^2 / 2 while the quadratic model errs by O(|d|^3), and h
     keeps the larger value. A done row stays put, so every row follows
@@ -355,24 +359,28 @@ def _lockstep_newton(z, h, terms, value, solve):
     t = _STEP_LENGTHS[:, None]
     active = np.arange(n)
     for _ in range(_NEWTON_MAX_ITERATIONS):
-        # while every row is active, views in place of fancy-indexed copies
-        sel = slice(None) if len(active) == n else active
-        zk = z[sel]
-        basis, grad, hess, gnorm = terms(sel, zk)
+        if len(active) == n:  # the arrays themselves in place of fancy-indexed copies
+            rows, zk, hk = data, z, h
+        else:
+            rows, zk, hk = [arr[active] for arr in data], z[active], h[active]
+        basis, grad, hess = terms(*rows, zk)
+        gnorm = np.hypot.reduce(grad, axis=1)
         live = gnorm > _NEWTON_GRAD_TOL
         if not np.count_nonzero(live):
             break
         # at least the gradient's length, so a gradient step is at most 1 long
-        step, last_step = solve(basis, grad, hess, np.maximum(gnorm, _NEWTON_GRAD_TOL))
+        d, w = solve(grad, hess, np.maximum(gnorm, _NEWTON_GRAD_TOL))
+        length = np.hypot.reduce(d, axis=1)
+        step = (d[:, None] @ basis)[:, 0] / np.maximum(length, 1.0)[:, None]
         trial = zk[:, None] + t * step[:, None]
         units = trial.reshape(-1, 3)  # a view: each unit 3-vector of each trial point
         units /= np.sqrt((units * units).sum(axis=1))[:, None]
-        ht = value(sel, trial)
-        better = ht > h[sel, None]
+        ht = value(*rows, trial)
+        better = ht > hk[:, None]
         moved = live & better.any(axis=1)
         stuck = live ^ moved
         if np.count_nonzero(stuck):
-            last = stuck & last_step(_NEWTON_LAST_STEP)
+            last = stuck & (length <= -_NEWTON_LAST_STEP * w)  # false where w >= 0: length > 0 on live rows
             if np.count_nonzero(last):
                 done = active[last]
                 z[done] = trial[last, 0]
@@ -388,26 +396,24 @@ def _lockstep_newton(z, h, terms, value, solve):
     return z, h, steps
 
 
-def _tangent_step(frame, grad, hess, gnorm):
-    """The fast path's step (n, 3) from _tangent_terms' frame, gradient and Hessian, and its last-step test.
+def _tangent_step(grad, hess, gnorm):
+    """The fast path's tangent step (n, 2) from _tangent_terms' gradient and Hessian, and w (n,).
 
     Newton, through the adjugate, where the tangent Hessian is negative
     definite; elsewhere the gradient divided by the larger of a Gershgorin
-    bound on that Hessian and ``gnorm``. |w| >= det / |trace|.
+    bound on that Hessian and ``gnorm``. w is det / trace on Newton rows,
+    at least the eigenvalue nearest 0, and +-0 elsewhere.
     """
     h11, h12, h22 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
     det = h11 * h22 - h12 * h12
     newton = (h11 < 0.0) & (det > 0.0)
     # d = -hess^-1 grad = -adj(hess) grad / det on Newton rows, grad / bound elsewhere
-    inverse, denom = hess[:, ::-1, ::-1] * _NEG_ADJ, det
+    inverse, denom, trace = hess[:, ::-1, ::-1] * _NEG_ADJ, det, h11 + h22
     if np.count_nonzero(newton) < len(newton):
         inverse[~newton] = _EYE2
         denom = np.where(newton, det, np.maximum(np.maximum(abs(h11), abs(h22)) + abs(h12), gnorm))
-    d = (inverse @ grad[:, :, None])[:, :, 0] / denom[:, None]
-    length = np.hypot(d[:, 0], d[:, 1])
-    step = (d[:, None] @ frame[:, 1:])[:, 0] / np.maximum(length, 1.0)[:, None]
-    # |d| |trace| <= limit det, as trace < 0 on Newton rows
-    return step, lambda limit: newton & (length * (h11 + h22) >= -limit * det)
+        trace = np.where(newton, trace, math.inf)  # so w = det / trace is +-0 there
+    return (inverse @ grad[:, :, None])[:, :, 0] / denom[:, None], det / trace
 
 
 def _reduced_excess(rows: np.ndarray, p, b: np.ndarray) -> np.ndarray:
@@ -440,6 +446,11 @@ def _reduced_excess(rows: np.ndarray, p, b: np.ndarray) -> np.ndarray:
     return yb
 
 
+def _trial_excess(kcy, p, trial):
+    """g - 1 at trial points (n, m, 3), by _reduced_excess with the points as columns."""
+    return _reduced_excess(kcy.swapaxes(1, 2), p[:, None], trial.swapaxes(1, 2))
+
+
 def _newton_ascent(kcy, p, b, h):
     """The fast path's polish: _lockstep_newton of g on the sphere from each row of ``b``.
 
@@ -447,15 +458,7 @@ def _newton_ascent(kcy, p, b, h):
     at the rows of ``b``. Trial values come from _reduced_excess, with the
     trial points as columns. Returns the final b, h and each row's step count.
     """
-
-    def terms(sel, b):
-        frame, grad, hess = _tangent_terms(kcy[sel], p[sel], b)
-        return frame, grad, hess, np.hypot(grad[:, 0], grad[:, 1])
-
-    def value(sel, trial):
-        return _reduced_excess(kcy[sel].swapaxes(1, 2), p[sel, None], trial.swapaxes(1, 2))
-
-    return _lockstep_newton(b, h, terms, value, _tangent_step)
+    return _lockstep_newton(b, h, (kcy, p), _tangent_terms, _trial_excess, _tangent_step)
 
 
 def _maximize_many(x: np.ndarray, y: np.ndarray, t: np.ndarray):
@@ -553,8 +556,8 @@ def _oracle_terms(p, j, z):
     return f[:, 2:], grad[:, 2:], hess
 
 
-def _oracle_step(basis, grad, hess, gnorm):
-    """The oracle's step (n, 6) from _oracle_terms' basis, gradient and Hessian, and its last-step test.
+def _oracle_step(grad, hess, gnorm):
+    """The oracle's tangent step (n, 4) from _oracle_terms' gradient and Hessian, and w (n,).
 
     Newton where the Riemannian Hessian is negative definite, from one
     stacked eigh. Elsewhere each eigencomponent of the gradient is divided
@@ -563,18 +566,14 @@ def _oracle_step(basis, grad, hess, gnorm):
     modified Hessian (Nocedal & Wright, Numerical Optimization, 2006, 3.4),
     so that on a set of maxima, where one eigenvalue is ~0 or slightly
     positive, the negative curvature across the set still gets a Newton
-    step. |w| is the top eigenvalue's.
+    step. w is the top eigenvalue.
     """
     w, v = np.linalg.eigh(hess)
     top = w[:, -1]
-    newton = top < 0.0
     bound = np.maximum(np.maximum(-w[:, 0], top), gnorm)
-    floor = np.where(newton, 0.0, gnorm)  # max(-w, 0) is -w bit for bit on Newton rows
+    floor = np.where(top < 0.0, 0.0, gnorm)  # max(-w, 0) is -w bit for bit on Newton rows
     d = (grad[:, None] @ v)[:, 0] / np.where(w < 0.0, np.maximum(-w, floor[:, None]), bound[:, None])
-    d = (v @ d[:, :, None])[:, :, 0]
-    length = np.sqrt((d * d).sum(axis=1))
-    step = (d[:, None] @ basis)[:, 0] / np.maximum(length, 1.0)[:, None]
-    return step, lambda limit: newton & (length <= limit * -top)
+    return (v @ d[:, :, None])[:, :, 0], top
 
 
 def _oracle_newton(x, y, t, a, b, h):
@@ -584,16 +583,8 @@ def _oracle_newton(x, y, t, a, b, h):
     ``h`` is f - 1 at the rows of (a, b); nothing of the a-reduction is
     used. Returns the final a, b, h and each row's number of steps.
     """
-    p, j = _oracle_data(x, y, t)
-
-    def terms(sel, z):
-        basis, grad, hess = _oracle_terms(p[sel], j[sel], z)
-        return basis, grad, hess, np.sqrt((grad * grad).sum(axis=1))
-
-    def value(sel, trial):
-        return _oracle_excess(p[sel], j[sel], trial)
-
-    z, h, steps = _lockstep_newton(np.concatenate([a, b], axis=1), h, terms, value, _oracle_step)
+    z, h, steps = _lockstep_newton(np.concatenate([a, b], axis=1), h, _oracle_data(x, y, t),
+                                   _oracle_terms, _oracle_excess, _oracle_step)
     return z[:, :3], z[:, 3:], h, steps
 
 

@@ -326,6 +326,25 @@ def test_compute_names_an_overflowing_hermiticity_deviation(tmp_path, capsys):
     assert captured.err == "error: maximum Hermiticity violation inf exceeds 1e-09\n"
 
 
+def test_validate_and_compute_agree_on_a_borderline_matrix(tmp_path, capsys):
+    # the lower triangle's smallest eigenvalue is -0.95e-9 and the Hermitian part's -1.35e-9: both
+    # commands judge the Hermitian part, so both exit 2
+    e = np.eye(4)
+    w, v = (e[0] + e[1]) / np.sqrt(2.0), (e[0] - e[1]) / np.sqrt(2.0)
+    m = 0.5 * np.outer(w, w) + 0.5 * np.outer(e[2], e[2]) - 0.95e-9 * np.outer(v, v)
+    m[0, 1] += 8e-10
+    path = tmp_path / "borderline.json"
+    path.write_text(json.dumps({"matrix": [[[float(x), 0.0] for x in row] for row in m]}))
+    code = main(["validate", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["physical"] is False
+    assert abs(report["min_eigenvalue"] + 1.35e-9) <= 1e-15
+    code = main(["compute", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: smallest eigenvalue -1.350000e-09 below -1e-09\n"
+
+
 def test_oracle_on_large_nonphysical_data(tmp_path, capsys):
     # the oracle scales its data too: 8e300 with no overflow warning, and exit 2 where f_max overflows
     code, out = run_cli(["compute", write_large_coherence(tmp_path, 1e150), "--method", "oracle",
@@ -734,6 +753,16 @@ def test_gen_param_errors(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(["gen", "nosuch", "-o", out_file], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("params", [["p=0.5", "p=0.6"], ["p=0.5", "P=0.6"]])
+def test_gen_rejects_a_repeated_parameter(tmp_path, capsys, params):
+    # names are read case-insensitively, so p and P are one parameter
+    out_file = tmp_path / "w.json"
+    code = main(["gen", "werner", *params, "-o", str(out_file)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: parameter 'p' given more than once\n"
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,16 @@ from ggqd import (
     validate_density,
 )
 from ggqd.errors import GgqdError
-from ggqd.qstate import PAULIS, family_matrix, family_stack, parse_state_matrix, validate_density_stack
+from ggqd.qstate import (
+    FAMILIES,
+    PAULIS,
+    _BUILDERS,
+    density_deviations,
+    family_matrix,
+    family_stack,
+    parse_state_matrix,
+    validate_density_stack,
+)
 
 
 def bell_mixture_matrix(c3):
@@ -512,3 +521,24 @@ def test_family_stack_random_seed_is_checked():
     with pytest.raises(ParameterOutOfRangeError, match="non-negative") as raised:
         family_stack("random", seed=-1)
     assert raised.value.index == 0
+
+
+def test_families_are_the_registered_builders():
+    assert FAMILIES == tuple(_BUILDERS)
+    for family in FAMILIES:
+        assert family_stack(family).shape == (1, 4, 4)
+
+
+def test_positivity_is_judged_on_the_hermitian_part():
+    # within the Hermiticity tolerance, the upper triangle moves the Hermitian part's smallest eigenvalue
+    # below -1e-9, while the lower triangle alone would pass
+    e = np.eye(4)
+    w, v = (e[0] + e[1]) / np.sqrt(2.0), (e[0] - e[1]) / np.sqrt(2.0)
+    m = 0.5 * np.outer(w, w) + 0.5 * np.outer(e[2], e[2]) - 0.95e-9 * np.outer(v, v)
+    m[0, 1] += 8e-10
+    herm_dev, trace_dev, min_eig = density_deviations(m[None].astype(complex))
+    assert herm_dev[0] <= 1e-9 and trace_dev[0] <= 1e-9
+    assert abs(min_eig[0] + 1.35e-9) <= 1e-15 and np.linalg.eigvalsh(m)[0] > -1e-9
+    with pytest.raises(NotPositiveError, match="-1.350000e-09"):
+        validate_density(m)
+    assert validate_density(m, allow_nonphysical=True).physical_flag is False
