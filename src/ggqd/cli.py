@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     except StateFormatError as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:  # GgqdError and its kin, and e.g. a non-finite matrix
+    except ValueError as exc:  # every GgqdError, and others such as a non-finite matrix
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:  # unreadable input; write failures return 4 in-handler
