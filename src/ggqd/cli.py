@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .errors import GgqdError, ParameterOutOfRangeError, StateFormatError
-from .pauli import pauli_decompose_stack
+from .pauli import pauli_decompose, pauli_decompose_stack
 from .qstate import (
     FAMILIES,
     HERMITICITY_TOL,
@@ -122,11 +122,8 @@ def _load_bloch(args):
     rho = load_state(args.input, allow_nonphysical=args.allow_nonphysical)
     if rho.diagnostic:
         print(f"note: {rho.diagnostic}", file=sys.stderr)
-    x, y, t = pauli_decompose_stack(rho.entries[None])
-    for name, v in (("x", x), ("y", y), ("T", t)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite")  # ggqd_bloch's message would name "state 0"
-    return x, y, t
+    corr = pauli_decompose(rho)
+    return corr.x[None], corr.y[None], corr.T[None]
 
 
 def _cmd_compute(args) -> int:
@@ -238,7 +235,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params, given = {}, set()
+    params, given = {}, ({"seed"} if args.seed is not None else set())
     seed, source = args.seed, "--seed"
     for token in args.params:
         name, eq, raw = token.partition("=")
@@ -319,9 +316,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a family state file")
     gen.add_argument("family", help=f"one of: {', '.join(f.replace('_', '-') for f in FAMILIES)}")
     gen.add_argument("params", nargs="*", metavar="name=value",
-                     help="family parameters, e.g. c3=0.5 (seed=N selects the RNG seed)")
+                     help="family parameters, e.g. c3=0.5, before or after the options "
+                          "(seed=N selects the RNG seed)")
     gen.add_argument("--seed", type=int, default=None,
-                     help="RNG seed for the random family (default: GGQD_SEED or 0)")
+                     help="RNG seed for the random family, given once as --seed or seed=N "
+                          "(default: GGQD_SEED or 0)")
     gen.add_argument("--allow-nonphysical", action="store_true")
     gen.add_argument("-o", "--output", required=True, help="output state file path")
     gen.set_defaults(handler=_cmd_gen)
@@ -331,8 +330,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        # argparse gives an nargs="*" positional only the tokens before the
+        # first option, so gen takes the name=value tokens left after it too
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            if args.command != "gen" or any(token.startswith("-") for token in extra):
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.params += extra
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:

@@ -15,6 +15,8 @@ from ggqd import (
     validate_density,
 )
 from ggqd.cli import CSV_HEADER, _fmt, main
+from ggqd.pauli import pauli_decompose_stack
+from ggqd.qstate import family_stack
 
 
 def run_cli(args, capsys):
@@ -500,6 +502,14 @@ def test_sweep_bad_spec(tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_refuses_more_than_a_million_points(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    code = main(["sweep", "werner", "p", "--from", "0", "--to", "1", "--step", "1e-7", "-o", str(out_csv)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: sweep would exceed 1e6 points\n"
+    assert not out_csv.exists()
+
+
 def test_sweep_both_exits_on_oracle_gap(tmp_path, capsys, monkeypatch):
     # no one-parameter family reaches the 1e-3 gap, so force one from c3 = 0.5 on
     import ggqd.solver as solver_mod
@@ -600,6 +610,41 @@ def test_sweep_csv_matches_per_state_ggqd(tmp_path, capsys, family, param, start
         cells = [value, res.ggqd, res.f_max, *res.a_star, *res.b_star, res.trace_cc]
         want.append(",".join([_fmt(c) for c in cells] + [res.method]))
     assert out_csv.read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("method", ["fast", "both"])
+@pytest.mark.parametrize(
+    "family,param,start,stop,step,points,closed_form,flags",
+    [
+        ("werner", "p", 0.0, 1.0, 0.001, 1001, lambda p: p * p / 2.0, []),
+        ("bell-mixture", "c3", -1.0, 1.0, 0.05, 41, lambda c3: (1.0 + c3 * c3 - max(1.0, c3 * c3)) / 4.0,
+         ["--allow-nonphysical"]),
+        ("x-state", "rho03", -0.25, 0.25, 0.01, 51, lambda rho03: rho03 * rho03, []),
+        ("pure-product", "theta_a", 0.0, 3.14, 0.01, 315, lambda theta_a: 0.0, []),
+        ("classical-classical", "p00", 0.25, 0.25, 0.1, 1, lambda p00: 0.0, []),
+    ],
+    ids=["werner", "bell-mixture", "x-state", "pure-product", "classical-classical"],
+)
+def test_full_size_sweeps_match_their_closed_forms(tmp_path, capsys, family, param, start, stop, step, points,
+                                                   closed_form, flags, method):
+    # the benchmark's sweeps, at full size: one row per point, GGQD in closed form at every point, and each
+    # row's f(a*, b*) and trace_cc - f_max / 4 consistent with it; under --method both every oracle gap is
+    # within the limit, or the sweep would exit 5
+    out_csv = tmp_path / "sweep.csv"
+    code = main(["sweep", family, param, "--from", str(start), "--to", str(stop), "--step", str(step),
+                 "--method", method, *flags, "-o", str(out_csv)])
+    assert code == 0 and capsys.readouterr().err == ""
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == points + 1
+    rows = np.array([[float(c) for c in line.split(",")[:10]] for line in lines[1:]])
+    values = start + step * np.arange(points)
+    g, f_max, a, b, tcc = rows[:, 1], rows[:, 2], rows[:, 3:6], rows[:, 6:9], rows[:, 9]
+    assert np.abs(rows[:, 0] - values).max() <= 1e-9
+    assert np.abs(g - [closed_form(v) for v in values]).max() <= 1e-9
+    x, y, t = pauli_decompose_stack(family_stack(family, {param: values}))
+    f_ab = 1.0 + np.einsum("ki,ki->k", y, b) ** 2 + np.einsum("ki,ki->k", x, a) ** 2
+    f_ab += np.einsum("ki,kij,kj->k", a, t, b) ** 2
+    assert np.abs(f_ab - f_max).max() <= 1e-9 and np.abs(g - (tcc - f_max / 4.0)).max() <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -762,6 +807,44 @@ def test_gen_rejects_a_repeated_parameter(tmp_path, capsys, params):
     code = main(["gen", "werner", *params, "-o", str(out_file)])
     assert code == 2
     assert capsys.readouterr().err == "error: parameter 'p' given more than once\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--allow-nonphysical", "c3=0.5", "-o", "OUT"], ["-o", "OUT", "--allow-nonphysical", "c3=0.5"]],
+    ids=["tokens-between-options", "tokens-after-options"],
+)
+def test_gen_takes_parameters_before_or_after_its_options(tmp_path, capsys, args):
+    # argparse gives the name=value positional only the tokens before the first option
+    want, got = tmp_path / "first.json", tmp_path / "got.json"
+    assert main(["gen", "bell-mixture", "c3=0.5", "--allow-nonphysical", "-o", str(want)]) == 0
+    assert main(["gen", "bell-mixture", *(str(got) if a == "OUT" else a for a in args)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["compute", "IN", "extra"], ["gen", "werner", "--bogus", "p=0.5", "-o", "OUT"]],
+    ids=["another-command", "unknown-option"],
+)
+def test_leftover_tokens_are_usage_errors(tmp_path, capsys, args):
+    # only gen takes the tokens argparse leaves over, and only name=value ones
+    names = {"IN": write_mixed(tmp_path), "OUT": str(tmp_path / "w.json")}
+    code = main([names.get(a, a) for a in args])
+    assert code == 2
+    assert "ggqd: error: unrecognized arguments: " in capsys.readouterr().err
+    assert not (tmp_path / "w.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args", [["seed=5", "--seed", "6"], ["--seed", "6", "seed=5"]], ids=["token-first", "option-first"]
+)
+def test_gen_rejects_a_seed_given_both_ways(tmp_path, capsys, args):
+    out_file = tmp_path / "r.json"
+    code = main(["gen", "random", *args, "-o", str(out_file)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: parameter 'seed' given more than once\n"
     assert not out_file.exists()
 
 

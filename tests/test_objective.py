@@ -72,6 +72,11 @@ def test_objective_non_unit_direction():
         objective_f(corr, (E3, np.array([0.0, 0.0, 0.9])))
 
 
+def test_direction_must_be_a_3_vector():
+    with pytest.raises(NonUnitDirectionError, match=r"a must be a 3-vector, got shape \(2,\)"):
+        objective_f(mixed_corr(), (np.array([1.0, 0.0]), E3))
+
+
 def test_nan_direction_rejected():
     nan_dir = np.array([np.nan, 0.0, 1.0])
     with pytest.raises(NonUnitDirectionError):

@@ -101,6 +101,11 @@ def test_bad_shape_and_nonfinite():
         validate_density(m)
 
 
+def test_density_matrix_must_be_4x4():
+    with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got shape \(3, 3\)"):
+        DensityMatrix(np.eye(3) / 3)
+
+
 def test_generate_bell_mixture_c3_zero():
     rho = generate_state(StateFamilySpec("bell_mixture", {"c3": 0.0}))
     want = 0.25 * np.array(
@@ -249,6 +254,11 @@ def test_not_unitary():
         local_unitary_conjugate(rho, np.eye(2) * 1.01, np.eye(2))
 
 
+def test_local_unitary_factors_must_be_2x2():
+    with pytest.raises(ValueError, match=r"uB must be 2x2, got shape \(3, 3\)"):
+        local_unitary_conjugate(random_state(0), np.eye(2), np.eye(3))
+
+
 def test_swap_basis_state():
     ket01 = np.zeros((4, 4), dtype=complex)
     ket01[1, 1] = 1.0
@@ -291,6 +301,12 @@ def test_state_json_schema_errors():
     bad_entry = '{"matrix": [' + ",".join(["[" + ",".join(['[1, 0, 0]'] * 4) + "]"] * 4) + "]}"
     with pytest.raises(StateFormatError, match="re, im"):
         state_from_json(bad_entry)
+
+
+def test_state_json_rejects_a_short_row():
+    rows = ['[[0.25, 0], [0, 0], [0, 0], [0, 0]]'] * 3 + ['[[0, 0], [0, 0], [0.25, 0]]']
+    with pytest.raises(StateFormatError, match="row 3 must be a list of 4 entries"):
+        state_from_json('{"matrix": [' + ",".join(rows) + "]}")
 
 
 def test_state_json_rejects_bool_entries():
@@ -521,6 +537,20 @@ def test_family_stack_random_seed_is_checked():
     with pytest.raises(ParameterOutOfRangeError, match="non-negative") as raised:
         family_stack("random", seed=-1)
     assert raised.value.index == 0
+
+
+def test_family_stack_parameters_must_be_scalars_or_1d():
+    with pytest.raises(ValueError, match="family parameters must be scalars or 1-D arrays"):
+        family_stack("werner", {"p": [[0.1, 0.2], [0.3, 0.4]]})
+
+
+@pytest.mark.parametrize("family,params", [
+    ("werner", {"p": []}), ("bell_phi_plus", {"c3": []}), ("random", {"seed": []}),
+])
+def test_family_stack_of_no_points(family, params):
+    # no point fails, and the builders that ignore n (bell_phi_plus, random) are not run
+    stack = family_stack(family, params, seed=7)
+    assert stack.shape == (0, 4, 4) and stack.dtype == complex
 
 
 def test_families_are_the_registered_builders():

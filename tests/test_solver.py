@@ -1163,6 +1163,17 @@ def test_oracle_f_max_is_invariant_at_a_rotated_nonsmooth_point():
     assert f_want == 1.25
     assert (_invariance_errors("oracle", [corr]) <= 1e-12).all()
 
+    # and at one fixed rotation, as a density matrix under method="both": the fast path and the oracle
+    # agree exactly (dividing the whole gradient by the Hessian's spectral radius stopped 1.9e-6 below here)
+    def rotation(axis, angle):  # Rodrigues' formula
+        k = np.asarray(axis) / np.linalg.norm(axis)
+        kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * kx @ kx
+
+    r1, r2 = rotation([1.0, 1.0, 1.0], 0.3), rotation([1.0, 0.0, 0.0], 0.4)
+    rho = reconstruct_density(CorrelationData(x=r1 @ corr.x, y=corr.y, T=r1 @ corr.T @ r2.T))
+    assert rho.physical_flag and ggqd(rho, method="both").oracle_gap <= 1e-12
+
 
 def test_oracle_polish_converges_on_rotated_degenerate_cases(monkeypatch):
     # on sets of maxima the Riemannian Hessian is singular or slightly indefinite: rotated off the grid's
