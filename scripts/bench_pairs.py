@@ -12,7 +12,10 @@ the parent first in even pairs and the change first in odd ones, so that
 a drift in the host's speed falls on both sides alike. The output holds, per workload and end-to-end metric,
 each side's median and quartiles over the pairs, the pairs in which the
 change read better, and every pair's values, with the machine, the
-method and the seeds.
+method and the seeds. Per workload, ``attempted`` holds each run's count
+of checked results next to the metrics, so that a metric which grows
+with the work done in a run, such as ``random/peak_rss_mb``, can be read
+against it.
 
 Each metric also gets two verdicts, from its ``bound`` and ``better`` in
 BENCHMARK.json. ``gain_rule_met`` is true when the change read better in
@@ -88,8 +91,13 @@ def verdicts(parent: list[float], change: list[float], spec: dict) -> dict:
 
 
 def summarize(pairs: list[dict], specs: dict) -> dict:
-    """Per metric: each side's quartiles, the pairs the change won, the verdicts and every pair's values."""
-    out = {}
+    """Per metric: each side's quartiles, the pairs the change won, the verdicts and every pair's values.
+
+    ``attempted`` holds each side's median and every pair's counts of the results a run checked.
+    """
+    attempted = [[p["attempted"]["parent"], p["attempted"]["change"]] for p in pairs]
+    out = {"attempted": {"parent_median": statistics.median(p for p, _ in attempted),
+                         "change_median": statistics.median(c for _, c in attempted), "pairs": attempted}}
     for name in pairs[0]["parent"]:
         parent = [p["parent"][name]["value"] for p in pairs]
         change = [p["change"][name]["value"] for p in pairs]
@@ -130,17 +138,19 @@ def main(argv=None) -> int:
         seed = BASE_SEED + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload in workloads:
-            pair = {"seed": seed, "first": order[0]}
+            pair = {"seed": seed, "first": order[0], "attempted": {}}
             for side in order:
                 result, report = run_once(sides[side], workload, seed, seconds)
                 pair[side] = result["metrics"]
+                pair["attempted"][side] = result["attempted"]
                 correct = correct and result["correct"]
                 # the first run's machine, without its seed and the path of its checkout
                 machine = machine or {k: v for k, v in report["machine"].items() if k not in ("seed", "ggqd_file")}
             runs[workload].append(pair)
             print(f"pair {i} seed {seed} {workload}: " + ", ".join(
                 f"{name} {pair['parent'][name]['value']:.4g}/{pair['change'][name]['value']:.4g}"
-                for name in pair["parent"]), flush=True)
+                for name in pair["parent"]) + f", attempted {pair['attempted']['parent']}/{pair['attempted']['change']}",
+                  flush=True)
 
     result = {
         "parent": commits["parent"],

@@ -333,8 +333,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         # argparse gives an nargs="*" positional only the tokens before the
-        # first option, so gen takes the name=value tokens left after it too
+        # first option, so gen takes the name=value tokens left after it too,
+        # and after an option it hands a "--" separator back among them
         args, extra = parser.parse_known_args(argv)
+        if args.command == "gen" and "--" in extra:
+            extra.remove("--")
         if extra:
             if args.command != "gen" or any(token.startswith("-") for token in extra):
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")

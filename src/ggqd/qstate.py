@@ -201,7 +201,7 @@ def _params_with_defaults(family: str, parameters: dict, defaults: dict):
     """Each point's parameters (n,) with the defaults filled in, and the checks that they name known, finite values.
 
     The parameters broadcast against each other; with none there is one
-    point.
+    point. With zero points an unknown name raises here, as at point 0.
     """
     names = [str(k).lower() for k in parameters]
     columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in parameters.values()))
@@ -212,8 +212,10 @@ def _params_with_defaults(family: str, parameters: dict, defaults: dict):
     checks = []
     for key, column in zip(names, columns):
         if key not in out:
-            checks.append((np.ones(n, dtype=bool),
-                           lambda k, key=key: ParameterOutOfRangeError(f"unknown parameter '{key}' for family '{family}'")))
+            unknown = lambda k, key=key: ParameterOutOfRangeError(f"unknown parameter '{key}' for family '{family}'")
+            if not n:  # an unknown name is wrong at any number of points, none included
+                _raise_first([(np.ones(1, dtype=bool), unknown)])
+            checks.append((np.ones(n, dtype=bool), unknown))
             continue
         checks.append((~np.isfinite(column), lambda k, key=key, column=column: ParameterOutOfRangeError(
             f"{family} parameter {key} = {float(column[k])} is not finite")))

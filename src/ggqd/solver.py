@@ -57,14 +57,17 @@ _ORIENT_TOL = 1e-6
 #: tangent gradient is at most _NEWTON_GRAD_TOL (in the solver's scaled
 #: units), tries each step at full length and halved up to
 #: _NEWTON_HALVINGS times, and takes at most _NEWTON_MAX_ITERATIONS steps
-#: (on Ginibre seeds 0-1999 the fast path needs 2 to 7 from its 873-node
-#: grid, 3.4 on average, and the oracle 3 to 8).
-#: A Newton step no shorter than _NEWTON_LAST_STEP times the Hessian's
-#: smallest curvature must raise the objective to be taken.
+#: (on Ginibre seeds 0-1999 the fast path takes 2 to 4 from its 873-node
+#: grid, 2.9 on average, and the oracle 3 to 4, 3.1 on average).
+#: A Newton step whose decrement grad.d, twice the model's gain, is at most
+#: _NEWTON_GAIN_TOL max(1, h) is taken unverified, as the row's last: h and
+#: its trials each carry a few roundings of max(1, h), so the value test
+#: cannot see such a gain. At 2 eps one oracle row on those seeds stops
+#: at a gradient of 7.6e-8, and at 1024 eps one stops above _NEWTON_GRAD_TOL.
 _NEWTON_GRAD_TOL = 1e-12
 _NEWTON_HALVINGS = 30
 _NEWTON_MAX_ITERATIONS = 50
-_NEWTON_LAST_STEP = 1e-6
+_NEWTON_GAIN_TOL = 16 * np.finfo(float).eps
 #: The trial step lengths 1, 1/2, ..., 2^-_NEWTON_HALVINGS, the 2x2 identity, and the
 #: signs that take a 2x2 matrix with its rows and columns reversed to minus its adjugate.
 _STEP_LENGTHS = 0.5 ** np.arange(_NEWTON_HALVINGS + 1)
@@ -342,13 +345,11 @@ def _lockstep_newton(z, h, data, terms, value, solve):
     Each step is capped at length 1 and taken through the basis, each trial
     z + t step is normalized onto its sphere(s), and the longest of
     t = 1, 1/2, ..., 2^-_NEWTON_HALVINGS that raises h strictly is taken.
-    A row is done once its tangent gradient is at most _NEWTON_GRAD_TOL, or
-    no t raises h: near a tangent gradient of 1e-8 a Newton step gains
-    ~1e-16, the rounding of h. Such a row still takes its Newton step,
-    unseen and as its last one, if |d| <= _NEWTON_LAST_STEP |w| (tested
-    only on iterations where some row is done that way): the step gains at
-    least |w| |d|^2 / 2 while the quadratic model errs by O(|d|^3), and h
-    keeps the larger value. A done row stays put, so every row follows
+    A row is done once its tangent gradient is at most _NEWTON_GRAD_TOL;
+    once its Newton decrement grad.d is at most _NEWTON_GAIN_TOL max(1, h),
+    after taking that full step unseen, as its last, with h the larger of
+    its two values (Boyd & Vandenberghe, Convex Optimization, 2004, 9.5.1);
+    or once no t raises h. A done row stays put, so every row follows
     exactly the path it would follow alone, and h never decreases. Returns
     the final z, h and each row's number of steps, which reaches
     _NEWTON_MAX_ITERATIONS only if the cap cut it off.
@@ -377,15 +378,14 @@ def _lockstep_newton(z, h, data, terms, value, solve):
         units /= np.sqrt((units * units).sum(axis=1))[:, None]
         ht = value(*rows, trial)
         better = ht > hk[:, None]
-        moved = live & better.any(axis=1)
-        stuck = live ^ moved
-        if np.count_nonzero(stuck):
-            last = stuck & (length <= -_NEWTON_LAST_STEP * w)  # false where w >= 0: length > 0 on live rows
-            if np.count_nonzero(last):
-                done = active[last]
-                z[done] = trial[last, 0]
-                h[done] = np.maximum(h[done], ht[last, 0])
-                steps[done] += 1
+        # twice the Newton model's gain; at most the rounding of h, its full step is taken unseen, as the last
+        last = live & (w < 0.0) & ((grad * d).sum(axis=1) <= _NEWTON_GAIN_TOL * np.maximum(hk, 1.0))
+        if np.count_nonzero(last):
+            done = active[last]
+            z[done] = trial[last, 0]
+            h[done] = np.maximum(hk[last], ht[last, 0])
+            steps[done] += 1
+        moved = live & ~last & better.any(axis=1)
         k = better.argmax(axis=1)[moved]
         active = active[moved]
         z[active] = trial[moved, k]

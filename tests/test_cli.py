@@ -812,8 +812,9 @@ def test_gen_rejects_a_repeated_parameter(tmp_path, capsys, params):
 
 @pytest.mark.parametrize(
     "args",
-    [["--allow-nonphysical", "c3=0.5", "-o", "OUT"], ["-o", "OUT", "--allow-nonphysical", "c3=0.5"]],
-    ids=["tokens-between-options", "tokens-after-options"],
+    [["--allow-nonphysical", "c3=0.5", "-o", "OUT"], ["-o", "OUT", "--allow-nonphysical", "c3=0.5"],
+     ["--allow-nonphysical", "-o", "OUT", "--", "c3=0.5"]],
+    ids=["tokens-between-options", "tokens-after-options", "tokens-after-a-separator"],
 )
 def test_gen_takes_parameters_before_or_after_its_options(tmp_path, capsys, args):
     # argparse gives the name=value positional only the tokens before the first option

@@ -153,6 +153,11 @@ def test_unknown_family():
 def test_unknown_parameter():
     with pytest.raises(ParameterOutOfRangeError, match="unknown parameter"):
         generate_state(StateFamilySpec("werner", {"q": 0.5}))
+    # with zero points as with one: the name alone is wrong
+    for family, params in (("bell_phi_plus", {"c3": []}), ("werner", {"q": []}), ("random", {"seed": []})):
+        with pytest.raises(ParameterOutOfRangeError, match=f"unknown parameter '{next(iter(params))}'") as raised:
+            family_stack(family, params)
+        assert raised.value.index == 0
 
 
 def test_parameter_out_of_range():
@@ -545,10 +550,10 @@ def test_family_stack_parameters_must_be_scalars_or_1d():
 
 
 @pytest.mark.parametrize("family,params", [
-    ("werner", {"p": []}), ("bell_phi_plus", {"c3": []}), ("random", {"seed": []}),
+    ("werner", {"p": []}), ("bell_mixture", {"c3": []}), ("x_state", {"rho03": []}),
 ])
 def test_family_stack_of_no_points(family, params):
-    # no point fails, and the builders that ignore n (bell_phi_plus, random) are not run
+    # no point fails and no builder runs; an unknown name raises instead (test_unknown_parameter)
     stack = family_stack(family, params, seed=7)
     assert stack.shape == (0, 4, 4) and stack.dtype == complex
 

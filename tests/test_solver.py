@@ -800,6 +800,50 @@ def test_oracle_polish_reaches_the_gradient_tolerance():
     assert np.sqrt((grad * grad).sum(axis=1)).max() <= _NEWTON_GRAD_TOL
 
 
+@pytest.mark.parametrize("solve,terms,most", [(_maximize_many, "_tangent_terms", 4),
+                                               (solver_mod._oracle_many, "_oracle_terms", 5)], ids=["fast", "oracle"])
+def test_newton_polish_stops_on_the_decrement(monkeypatch, solve, terms, most):
+    # a row whose Newton decrement is within the rounding of h takes that step unseen and is done, with no
+    # terms call to confirm it; a value test with a stuck-row exception ran 7 (fast) and 8 (oracle) here
+    data = stacked([pauli_decompose(random_state(seed)) for seed in range(2000)])
+    original, calls = getattr(solver_mod, terms), []
+
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return original(*args)
+
+    monkeypatch.setattr(solver_mod, terms, counting)
+    solve(*data)
+    assert calls[0] == 2000 and len(calls) <= most
+
+
+# Two non-physical states, as CorrelationData and --allow-nonphysical accept them, on which a solver
+# stops at a local maximum. Both are targets for a certified upper bound on f_max.
+_LOCAL_MAXIMUM_A = CorrelationData(  # smallest eigenvalue -0.65
+    np.array([0.2349, -0.2315, 0.2806]), np.array([-1.5124, 1.0643, 1.8034]),
+    np.array([[-0.0093, 0.0723, -0.5465], [0.5624, 0.4383, -0.0426], [0.0894, -0.549, 0.5813]]))
+_LOCAL_MAXIMUM_B = CorrelationData(  # smallest eigenvalue -0.19
+    np.array([0.0015, 0.0005, -0.0028]), np.array([-0.0343, 0.0223, -0.0066]),
+    np.array([[0.5788, -0.0003, -0.609], [-0.5966, -0.6203, -0.2272], [0.2143, -0.5311, -0.3764]]))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: both solvers return 7.8578106746 and both reports gap 0; "
+                                       "only a certified upper bound on f_max can show the miss")
+@pytest.mark.parametrize("method", ["fast", "oracle"])
+def test_both_solvers_reach_a_known_better_pair(method):
+    a, b = np.array([0.7227, -0.4148, 0.5529]), np.array([-0.5814, 0.4184, 0.6978])
+    known = objective_f(_LOCAL_MAXIMUM_A, (a / np.linalg.norm(a), b / np.linalg.norm(b)))  # 7.8610986607
+    assert ggqd(_LOCAL_MAXIMUM_A, method).f_max >= known
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the oracle returns 1.9603489826, 6.3e-4 below the fast "
+                                       "path's 1.9609751269, under exit 5's limit of 1e-3")
+def test_oracle_reaches_the_fast_value_on_a_second_local_maximum():
+    fast = ggqd(_LOCAL_MAXIMUM_B)
+    assert abs(objective_f(_LOCAL_MAXIMUM_B, (fast.a_star, fast.b_star)) - fast.f_max) <= 1e-12
+    assert ggqd(_LOCAL_MAXIMUM_B, "oracle").f_max >= fast.f_max - 1e-12
+
+
 @pytest.mark.parametrize("seed", [435, 484, 1067, 1414])
 def test_oracle_reaches_the_fast_maximum(seed):
     # a compass search in four angles stopped at its iteration cap on these
