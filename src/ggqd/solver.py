@@ -378,7 +378,7 @@ def _lockstep_newton(z, h, data, terms, value, solve):
         units /= np.sqrt((units * units).sum(axis=1))[:, None]
         ht = value(*rows, trial)
         better = ht > hk[:, None]
-        # twice the Newton model's gain; at most the rounding of h, its full step is taken unseen, as the last
+        # grad.d is twice the Newton model's gain: within the rounding of h, the full step is the last, unseen
         last = live & (w < 0.0) & ((grad * d).sum(axis=1) <= _NEWTON_GAIN_TOL * np.maximum(hk, 1.0))
         if np.count_nonzero(last):
             done = active[last]
