@@ -153,11 +153,10 @@ def test_unknown_family():
 def test_unknown_parameter():
     with pytest.raises(ParameterOutOfRangeError, match="unknown parameter"):
         generate_state(StateFamilySpec("werner", {"q": 0.5}))
-    # with zero points as with one: the name alone is wrong
-    for family, params in (("bell_phi_plus", {"c3": []}), ("werner", {"q": []}), ("random", {"seed": []})):
-        with pytest.raises(ParameterOutOfRangeError, match=f"unknown parameter '{next(iter(params))}'") as raised:
-            family_stack(family, params)
-        assert raised.value.index == 0
+    # with zero points as with one: the name alone is wrong (also test_family_stack_of_no_points)
+    with pytest.raises(ParameterOutOfRangeError, match="unknown parameter 'q'") as raised:
+        family_stack("werner", {"q": []})
+    assert raised.value.index == 0
 
 
 def test_parameter_out_of_range():
@@ -550,10 +549,18 @@ def test_family_stack_parameters_must_be_scalars_or_1d():
 
 
 @pytest.mark.parametrize("family,params", [
-    ("werner", {"p": []}), ("bell_mixture", {"c3": []}), ("x_state", {"rho03": []}),
+    ("werner", {"p": []}), ("bell_phi_plus", {"c3": []}), ("random", {"seed": []}),
+    ("bell_mixture", {"c3": []}), ("x_state", {"rho03": []}),
 ])
 def test_family_stack_of_no_points(family, params):
-    # no point fails and no builder runs; an unknown name raises instead (test_unknown_parameter)
+    # no point fails and no builder runs; a name the family does not take (bell_phi_plus and
+    # random take none) is wrong with zero points as with one
+    (name,) = params
+    if name not in _BUILDERS[family][0]:
+        with pytest.raises(ParameterOutOfRangeError, match=f"unknown parameter '{name}'") as raised:
+            family_stack(family, params, seed=7)
+        assert raised.value.index == 0
+        return
     stack = family_stack(family, params, seed=7)
     assert stack.shape == (0, 4, 4) and stack.dtype == complex
 
